@@ -1,9 +1,10 @@
 """Residue search for left factorial counterexamples over prime ranges.
 
 A counterexample is an odd prime p with !p = 0 (mod p). The search sieves
-primes in [lo, hi), folds k = 1 .. p-1 through a lane-vectorized numpy
-kernel (one lane per prime), and commits results block by block behind a
-contiguous frontier so a checkpoint always describes a clean prefix.
+primes in [lo, hi), cuts them into blocks of consecutive primes, computes
+each block's residues with one big-integer fold modulo the product of its
+primes, and commits results block by block behind a contiguous frontier
+so a checkpoint always describes a clean prefix.
 Reports are canonical: the same range yields byte-identical output no
 matter the worker count or how often the run was interrupted.
 """
@@ -18,8 +19,6 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
 
@@ -90,12 +89,14 @@ def left_factorial_mod(p: int) -> int:
 
 
 def block_residues(primes: Sequence[int]) -> list[int]:
-    """!p mod p for a strictly increasing block of moduli.
+    """!p mod p for a strictly increasing block of moduli >= 2.
 
-    Consecutive primes share most of their k range, so the block is folded
-    as uint64 lanes: f and acc advance together and a lane drops out once
-    k reaches its modulus. acc stays below pmax^2 < 2^64, so it is reduced
-    only at the end. Moduli at or above 2^32 fall back to the scalar path.
+    The block is folded once modulo M, the product of its moduli: the pair
+    (F, S) = (m!, !m) mod M advances in chunks [m, b) of at most 64 steps
+    that end at or before the next modulus. A chunk's exact pair
+    P = (m+1)...b and Q = sum over j in [m, b) of (m+1)...j gives
+    S <- S + F*Q and F <- F*P, and once m reaches a modulus p, S mod p is
+    !p mod p because p divides M.
     """
     if not primes:
         return []
@@ -103,41 +104,21 @@ def block_residues(primes: Sequence[int]) -> list[int]:
         raise ValueError("block_residues requires strictly increasing moduli")
     if primes[0] < 2:
         raise ValueError("block_residues requires moduli >= 2")
-    pmax = primes[-1]
-    if pmax >= 1 << 32:
-        return [left_factorial_mod(p) for p in primes]
-    ps = np.asarray(primes, dtype=np.uint64)
-    f = np.ones(len(ps), dtype=np.uint64)
-    acc = np.ones(len(ps), dtype=np.uint64)
-    start = 0
-    for k in range(1, pmax):
-        while start < len(ps) and primes[start] <= k:
-            start += 1
-        if start == len(ps):
-            break
-        sl = slice(start, None)
-        f[sl] = f[sl] * np.uint64(k) % ps[sl]
-        acc[sl] += f[sl]
-    return [int(r) for r in acc % ps]
-
-
-@dataclass(frozen=True)
-class ResidueRecord:
-    p: int
-    residue: int
-
-    @property
-    def bucket(self) -> int:
-        # histogram bucket under the uniform map floor(256 r / p)
-        return HISTOGRAM_BUCKETS * self.residue // self.p
-
-    @property
-    def is_counterexample(self) -> bool:
-        return self.p > 2 and self.residue == 0
-
-
-def residue_records(primes: Sequence[int]) -> list[ResidueRecord]:
-    return [ResidueRecord(p, r) for p, r in zip(primes, block_residues(primes))]
+    modulus = math.prod(primes)
+    f = s = 1
+    m = 1
+    residues: list[int] = []
+    for p in primes:
+        while m < p:
+            b = min(m + 64, p)
+            q = 1
+            for k in range(b - 1, m, -1):
+                q = q * k + 1
+            s = (s + f * q) % modulus
+            f = f * math.prod(range(m + 1, b + 1)) % modulus
+            m = b
+        residues.append(s % p)
+    return residues
 
 
 @dataclass
@@ -242,11 +223,10 @@ def canonical_report(ck: SearchCheckpoint) -> str:
 def _block_worker(idx: int, primes: list[int]) -> tuple[int, list[int], list[int]]:
     residues = block_residues(primes)
     cex = [p for p, r in zip(primes, residues) if r == 0 and p > 2]
-    ps = np.asarray(primes, dtype=np.uint64)
-    rs = np.asarray(residues, dtype=np.uint64)
-    buckets = (np.uint64(HISTOGRAM_BUCKETS) * rs // ps).astype(np.int64)
-    hist = np.bincount(buckets, minlength=HISTOGRAM_BUCKETS)
-    return idx, cex, [int(c) for c in hist]
+    hist = [0] * HISTOGRAM_BUCKETS
+    for p, r in zip(primes, residues):
+        hist[HISTOGRAM_BUCKETS * r // p] += 1
+    return idx, cex, hist
 
 
 def _chunked(it: Iterator[int], size: int) -> Iterator[list[int]]:
@@ -278,6 +258,8 @@ def run_search(
     checkpoint_interval seconds and once more on exit; an existing file for
     the same range is resumed. block_limit stops the run early after that
     many committed blocks (a test hook standing in for a killed process).
+    lanes is the number of primes per block, the unit of work handed to a
+    worker and of commit.
     """
     if lo < 2:
         raise ValueError("run_search requires lo >= 2")
@@ -311,7 +293,6 @@ def run_search(
     started = time.monotonic()
     base_wall = ck.wall_seconds
     last_save = started
-    hist = np.array(ck.histogram, dtype=np.int64) if ck.histogram is not None else None
 
     block_iter = _chunked(sieve_primes(ck.last_completed, hi), lanes)
     next_submit = 0
@@ -336,11 +317,10 @@ def run_search(
     stopped = False
 
     def commit(idx: int, cex: list[int], block_hist: list[int]) -> None:
-        nonlocal commits, hist
+        nonlocal commits
         ck.counterexamples.extend(cex)
-        if hist is not None:
-            hist += np.array(block_hist, dtype=np.int64)
-            ck.histogram = [int(c) for c in hist]
+        if ck.histogram is not None:
+            ck.histogram = [a + b for a, b in zip(ck.histogram, block_hist)]
         ck.last_completed = tops.pop(idx) + 1
         commits += 1
 
@@ -417,23 +397,13 @@ def bell_mod(n: int, p: int) -> int:
         raise ValueError("bell_mod requires p >= 1")
     if n == 0:
         return 1 % p
-    if p < 1 << 31 and n * p < 1 << 62:
-        row = np.zeros(n + 1, dtype=np.uint64)
-        row[0] = 1 % p
-        ks = np.arange(n + 1, dtype=np.uint64)
-        pp = np.uint64(p)
-        for i in range(1, n + 1):
-            new = np.zeros(n + 1, dtype=np.uint64)
-            new[1 : i + 1] = (row[0:i] + ks[1 : i + 1] * row[1 : i + 1]) % pp
-            row = new
-        return int(row.sum() % pp)
-    row_py = [1 % p] + [0] * n
+    row = [1 % p] + [0] * n
     for i in range(1, n + 1):
-        new_py = [0] * (n + 1)
+        new = [0] * (n + 1)
         for k in range(1, i + 1):
-            new_py[k] = (row_py[k - 1] + k * row_py[k]) % p
-        row_py = new_py
-    return sum(row_py) % p
+            new[k] = (row[k - 1] + k * row[k]) % p
+        row = new
+    return sum(row) % p
 
 
 def check_bell_congruence(p: int) -> DiscrepancyReport:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: formats, exit codes, caps, and file output."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -256,6 +257,20 @@ def test_console_script_help():
     assert proc.returncode == 0
     for name in SUBCOMMANDS:
         assert name in proc.stdout, name
+
+
+def test_cli_import_does_not_load_numpy():
+    import kurepa
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import kurepa.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_invocation():

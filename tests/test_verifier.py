@@ -1,5 +1,6 @@
 """Sieve, modular oracles, checkpoint hygiene, and search determinism."""
 
+import hashlib
 import json
 import os
 
@@ -11,7 +12,6 @@ from kurepa.verifier import (
     CheckpointFormatError,
     CheckpointMismatchError,
     HISTOGRAM_BUCKETS,
-    ResidueRecord,
     SearchCheckpoint,
     bell_mod,
     block_residues,
@@ -20,7 +20,6 @@ from kurepa.verifier import (
     checkpoint_from_json,
     left_factorial_mod,
     load_checkpoint,
-    residue_records,
     run_search,
     save_checkpoint,
     sieve_primes,
@@ -73,13 +72,23 @@ def test_block_residues_empty_block():
     assert block_residues([]) == []
 
 
-def test_residue_records():
-    recs = residue_records([3, 5, 7])
-    assert [r.residue for r in recs] == [left_factorial_mod(p) for p in (3, 5, 7)]
-    assert ResidueRecord(5, 0).is_counterexample
-    assert not ResidueRecord(2, 0).is_counterexample
-    assert not ResidueRecord(5, 1).is_counterexample
-    assert ResidueRecord(7, 6).bucket == HISTOGRAM_BUCKETS * 6 // 7
+@settings(max_examples=60)
+@given(st.sets(st.integers(min_value=2, max_value=3000), min_size=1, max_size=40))
+def test_block_residues_any_increasing_moduli(moduli):
+    # the fold holds for any increasing moduli >= 2, composite ones included
+    moduli = sorted(moduli)
+    assert block_residues(moduli) == [left_factorial_mod(m) for m in moduli]
+
+
+def test_block_residues_narrow_window_far_out():
+    primes = [p for p in ORACLE if 100_000 <= p < 100_300]
+    assert block_residues(primes) == [left_factorial_mod(p) for p in primes]
+
+
+def test_two_is_not_a_counterexample():
+    # !2 = 2 = 0 (mod 2), but only odd primes count
+    assert left_factorial_mod(2) == 0
+    assert run_search(2, 100).counterexamples == []
 
 
 @settings(max_examples=60)
@@ -202,11 +211,25 @@ def test_histogram_accumulates(tmp_path):
     primes = [p for p in ORACLE if 3 <= p < 5_000]
     assert sum(ck.histogram) == len(primes)
     # zero residues would be counterexamples; bucket 0 still catches small ones
-    recs = residue_records(primes)
     want = [0] * HISTOGRAM_BUCKETS
-    for r in recs:
-        want[r.bucket] += 1
+    for p in primes:
+        want[HISTOGRAM_BUCKETS * left_factorial_mod(p) // p] += 1
     assert ck.histogram == want
+
+
+# sha256 of canonical_report(run_search(lo, hi, histogram=True)), taken
+# before the residue kernel was rewritten: a kernel change must keep the bytes
+GOLDEN_REPORTS = {
+    (3, 30_000): "cc36ce02ed2ca6fba03ff2064e1a45817ec6c96bcb9e3be0321517209d48d6a9",
+    (100_000, 102_000): "7c2426f8d908bb952b4a54eb676901632b24abf818773d7ec748036ae126280a",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("lo, hi", sorted(GOLDEN_REPORTS))
+def test_canonical_report_golden(lo, hi, workers):
+    report = canonical_report(run_search(lo, hi, workers=workers, histogram=True))
+    assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_REPORTS[lo, hi]
 
 
 def test_kill_and_resume_reproduces_straight_run(tmp_path):
