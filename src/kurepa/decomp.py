@@ -8,6 +8,7 @@ and "no witness within bounds" is an explicit, reportable outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -17,7 +18,7 @@ from mpmath import mp, mpf
 
 from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
 from .efactor import GUARD_DIGITS, EScaled, format_significant
-from .sequences import alt_left_factorial, bell, complementary_bell, left_factorial
+from .sequences import bell, complementary_bell, factorial_states, left_factorial
 
 # bounds for the signed-basis witness search
 SIGNED_INDEX_BOUND = 12
@@ -105,16 +106,19 @@ def greedy_bell_decomposition(target: int) -> tuple[tuple[int, int], ...]:
 
     Each step takes the largest Bell number not exceeding the remainder with
     the largest possible coefficient. Ties at value 1 resolve to index 1, the
-    larger index, which the "largest element" rule gives for free.
+    larger index, which the "largest element" rule gives for free. Each
+    remainder is below the Bell number just used, so the index only walks down.
     """
     if target < 0:
         raise ValueError("greedy decomposition requires a nonnegative target")
     terms: list[tuple[int, int]] = []
     remainder = target
+    m = 1
+    while bell(m + 1) <= remainder:
+        m += 1
     while remainder > 0:
-        m = 1
-        while bell(m + 1) <= remainder:
-            m += 1
+        while bell(m) > remainder:
+            m -= 1
         q, remainder = divmod(remainder, bell(m))
         terms.append((m, q))
     return tuple(terms)
@@ -152,28 +156,14 @@ def kurepa_sequence_sum(n: int) -> int:
     """Sum of !i for 1 <= i <= n."""
     if n < 1:
         raise ValueError("kurepa_sequence_sum requires n >= 1")
-    acc = 0
-    lf = 0
-    f = 1
-    for i in range(1, n + 1):
-        lf += f  # lf is now !i
-        f *= i
-        acc += lf
-    return acc
+    return sum(s.left for s in factorial_states(1, n))
 
 
 def alt_kurepa_sequence_sum(n: int) -> int:
     """Sum of the alternating variant over 1 <= i <= n."""
     if n < 1:
         raise ValueError("alt_kurepa_sequence_sum requires n >= 1")
-    acc = 0
-    alt = 0
-    f = 1
-    for i in range(1, n + 1):
-        alt += -f if (i - 1) % 2 else f  # alt is now the i-th alternating sum
-        f *= i
-        acc += alt
-    return acc
+    return sum(s.alt for s in factorial_states(1, n))
 
 
 def _signed_witness(target: int) -> tuple[tuple[int, int], ...] | None:
@@ -272,12 +262,9 @@ def check_log_identity(n: int) -> DiscrepancyReport:
     """
     if n < 1:
         raise ValueError("check_log_identity requires n >= 1")
-    values = [left_factorial(i) for i in range(1, n + 1)]
-    product = 1
-    total = 0
-    for v in values:
-        product *= v
-        total += v
+    values = [s.left for s in factorial_states(1, n)]
+    product = math.prod(values)
+    total = sum(values)
     with mp.workdps(LOG_IDENTITY_DIGITS + GUARD_DIGITS):
         tol = mpf(LOG_IDENTITY_REL_TOL)
         lhs = mp.fsum(mp.log(mpf(v)) + 1 for v in values)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
-from .sequences import factorial, factorial_sum, half_left_factorial, left_factorial
+from .sequences import factorial, factorial_sum, factorial_states, half_left_factorial
 
 BOTH_EVEN = "both-even"
 ONE_EVEN = "one-even"
@@ -151,14 +151,20 @@ class AlteredScanRow:
 
 
 def scan_altered(a: int, ns: Iterable[int]) -> list[AlteredScanRow]:
-    """Direct gcd scan of the shifted consecutive factorial sums."""
-    out = []
-    for n in ns:
-        if n < 0:
-            raise ValueError("scan_altered requires n >= 0")
-        value = math.gcd(factorial_sum(n) + a, factorial_sum(n + 1) + a)
-        out.append(AlteredScanRow(n=n, a=a, value=value))
-    return out
+    """gcd(F_n + a, F_(n+1) + a) for n in `ns`, from one walk of the factorial stream.
+
+    The two terms differ by (n+1)! for n >= 1; F_0 = 0 and F_1 = 2 at n = 0.
+    """
+    ns = list(ns)
+    if any(n < 0 for n in ns):
+        raise ValueError("scan_altered requires n >= 0")
+    wanted = set(ns)
+    values = {}
+    for s in factorial_states(1, max(ns, default=-1) + 1):
+        n = s.n - 1
+        if n in wanted:
+            values[n] = math.gcd(s.left + a, s.factorial) if n else math.gcd(a, a + 2)
+    return [AlteredScanRow(n=n, a=a, value=values[n]) for n in ns]
 
 
 # published piecewise claims for the altered scans, by shift a
@@ -205,12 +211,12 @@ def check_lemma_fixtures(a: int, n_max: int = 20) -> list[DiscrepancyReport]:
             )
         )
     if a == 3:
-        for n in range(1, n_max + 1):
-            value = math.gcd(left_factorial(n) + a, left_factorial(n + 1) + a)
-            claim = claimed_altered(a, n)
+        for s in factorial_states(1, n_max):
+            value = math.gcd(s.left + a, s.left + s.factorial + a)
+            claim = claimed_altered(a, s.n)
             out.append(
                 DiscrepancyReport(
-                    claim_id=f"altered.a{a}.shifted.n{n}",
+                    claim_id=f"altered.a{a}.shifted.n{s.n}",
                     location=location,
                     claimed=str(claim),
                     computed=str(value),
@@ -226,20 +232,11 @@ def check_table9(n_lo: int = 2, n_hi: int = 10) -> list[DiscrepancyReport]:
     if n_lo < 2 or n_hi < n_lo:
         raise ValueError("check_table9 requires 2 <= n_lo <= n_hi")
     out = []
-    alt = 0
-    f = 1
-    lf = 0
-    for m in range(n_hi):
-        lf += f
-        alt += -f if m % 2 else f
-        f *= m + 1
-        n = m + 1
-        if n < n_lo:
-            continue
-        g = math.gcd(abs(alt), lf)
+    for s in factorial_states(n_lo, n_hi):
+        g = math.gcd(abs(s.alt), s.left)
         out.append(
             DiscrepancyReport(
-                claim_id=f"table9.n{n}",
+                claim_id=f"table9.n{s.n}",
                 location="sec4.table9",
                 claimed="2",
                 computed=str(g),

@@ -1,17 +1,23 @@
 """Exact integer sequences around the left factorial.
 
 Everything here is exact: plain Python ints, Fractions for the one
-rational-valued sum, and dense integer polynomials. The Stirling and Bell
-tables are memoized module-wide and grow to the largest index requested;
-fills are lock-guarded so concurrent readers see only committed rows.
+rational-valued sum, and dense integer polynomials. Two streams carry the
+running state. `factorial_states` steps n! together with !n, the alternating
+sums and D_n, so a table of any of them costs one big-integer step per row;
+the point functions roll one cached state forward with the same step.
+Stirling numbers come from one rolling row, and Bell and complementary Bell
+values are memoized, so their tables hold O(n^2) bits. A request below the
+cached state or row restarts from 0. No cache is locked: nothing reads them
+concurrently.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import Iterator, NamedTuple
 
 
 def factorial(n: int) -> int:
@@ -19,6 +25,51 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError("factorial is undefined for negative n")
     return math.factorial(n)
+
+
+class FactorialState(NamedTuple):
+    """The running factorial family at one index n."""
+
+    n: int
+    factorial: int  # n!
+    left: int  # !n = 0! + 1! + ... + (n-1)!
+    alt: int  # sum of (-1)^m * m! over 0 <= m < n
+    guy: int  # sum of (-1)^(n-m) * m! over 1 <= m <= n
+    derangement: int  # D_n
+
+
+_ORIGIN = FactorialState(0, 1, 0, 0, 0, 1)
+
+
+def _advance(s: FactorialState) -> FactorialState:
+    """The state at s.n + 1: one step of every running sum."""
+    n = s.n + 1
+    f = s.factorial * n
+    alt = s.alt - s.factorial if s.n % 2 else s.alt + s.factorial
+    der = n * s.derangement + (-1 if n % 2 else 1)
+    return FactorialState(n, f, s.left + s.factorial, alt, f - s.guy, der)
+
+
+def factorial_states(lo: int = 0, hi: int | None = None) -> Iterator[FactorialState]:
+    """The states for n = lo, lo + 1, ..., hi (without end when hi is None)."""
+    s = _ORIGIN
+    while hi is None or s.n <= hi:
+        if s.n >= lo:
+            yield s
+        s = _advance(s)
+
+
+# The last state a point function read; reads in increasing n cost one step each.
+_factorial_state = _ORIGIN
+
+
+def _state(n: int) -> FactorialState:
+    global _factorial_state
+    s = _factorial_state if _factorial_state.n <= n else _ORIGIN
+    while s.n < n:
+        s = _advance(s)
+    _factorial_state = s
+    return s
 
 
 def left_factorial(n: int) -> int:
@@ -30,39 +81,25 @@ def left_factorial(n: int) -> int:
     """
     if n < 1:
         raise ValueError("left_factorial requires n >= 1")
-    acc = 0
-    f = 1
-    for m in range(n):
-        acc += f
-        f *= m + 1
-    return acc
+    return _state(n).left
 
 
 def alt_left_factorial(n: int) -> int:
     """Alternating variant: sum of (-1)^m * m! over 0 <= m < n, with value 0 at n = 0."""
     if n < 0:
         raise ValueError("alt_left_factorial requires n >= 0")
-    acc = 0
-    f = 1
-    for m in range(n):
-        acc += -f if m % 2 else f
-        f *= m + 1
-    return acc
+    return _state(n).alt
 
 
 def guy_alternating(n: int) -> int:
     """Sum of (-1)^(n-m) * m! over 1 <= m <= n; empty sum is 0.
 
-    Signs are anchored at the top so the m = n term is always +n!.
+    Signs are anchored at the top so the m = n term is always +n!, which
+    gives G_n = n! - G_(n-1).
     """
     if n < 0:
         raise ValueError("guy_alternating requires n >= 0")
-    acc = 0
-    f = 1
-    for m in range(1, n + 1):
-        f *= m
-        acc += f if (n - m) % 2 == 0 else -f
-    return acc
+    return _state(n).guy
 
 
 def wagstaff(n: int) -> int:
@@ -70,36 +107,34 @@ def wagstaff(n: int) -> int:
     return left_factorial(n) - 1
 
 
-# Stirling numbers of the second kind, row-major. _stirling_rows[n][k] = S(n, k)
-# for 0 <= k <= n. Rows are append-only; the lock guards fills only.
-_stirling_rows: list[list[int]] = [[1]]
-_stirling_lock = threading.Lock()
+# The last Stirling row built: _stirling_row[k] = S(n, k) for 0 <= k <= n,
+# where n = len(_stirling_row) - 1.
+_stirling_row: list[int] = [1]
 
 # Bell numbers, computed with the Bell triangle one row at a time so memory
 # stays O(n) rather than O(n^2). _bell_values[n] = Bell_n.
 _bell_values: list[int] = [1]
 _bell_last_row: list[int] = [1]
-_bell_lock = threading.Lock()
+
+# _complementary_bell_values[n] = sum of (-1)^k S(n, k)
+_complementary_bell_values: list[int] = [1]
 
 
-def _ensure_stirling(n: int) -> None:
-    with _stirling_lock:
-        while len(_stirling_rows) <= n:
-            prev = _stirling_rows[-1]
-            m = len(_stirling_rows)  # building row m from row m-1
-            row = [0] * (m + 1)
-            for k in range(1, m):
-                row[k] = k * prev[k] + prev[k - 1]
-            row[m] = 1
-            _stirling_rows.append(row)
+def _stirling(n: int) -> list[int]:
+    """Row n of the Stirling triangle, rolled forward from the last row built."""
+    global _stirling_row
+    row = _stirling_row if len(_stirling_row) <= n + 1 else [1]
+    for m in range(len(row), n + 1):  # building row m from row m-1
+        row = [0, *(k * row[k] + row[k - 1] for k in range(1, m)), 1]
+    _stirling_row = row
+    return row
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k), 0 <= k <= n."""
     if n < 0 or k < 0 or k > n:
         raise ValueError("stirling2 requires 0 <= k <= n")
-    _ensure_stirling(n)
-    return _stirling_rows[n][k]
+    return _stirling(n)[k]
 
 
 def bell(n: int) -> int:
@@ -107,14 +142,9 @@ def bell(n: int) -> int:
     if n < 0:
         raise ValueError("bell requires n >= 0")
     global _bell_last_row
-    with _bell_lock:
-        while len(_bell_values) <= n:
-            prev = _bell_last_row
-            row = [prev[-1]]
-            for x in prev:
-                row.append(row[-1] + x)
-            _bell_last_row = row
-            _bell_values.append(row[0])
+    while len(_bell_values) <= n:
+        _bell_last_row = list(accumulate(_bell_last_row, initial=_bell_last_row[-1]))
+        _bell_values.append(_bell_last_row[0])
     return _bell_values[n]
 
 
@@ -122,19 +152,18 @@ def complementary_bell(n: int) -> int:
     """Alternating row sum of Stirling numbers: sum of (-1)^k S(n, k)."""
     if n < 0:
         raise ValueError("complementary_bell requires n >= 0")
-    _ensure_stirling(n)
-    row = _stirling_rows[n]
-    return sum(-v if k % 2 else v for k, v in enumerate(row))
+    values = _complementary_bell_values
+    while len(values) <= n:
+        row = _stirling(len(values))
+        values.append(sum(row[0::2]) - sum(row[1::2]))
+    return values[n]
 
 
 def derangement(n: int) -> int:
     """Derangement count via D_n = n * D_{n-1} + (-1)^n, D_0 = 1."""
     if n < 0:
         raise ValueError("derangement requires n >= 0")
-    d = 1
-    for m in range(1, n + 1):
-        d = m * d + (1 if m % 2 == 0 else -1)
-    return d
+    return _state(n).derangement
 
 
 @dataclass(frozen=True)
@@ -170,35 +199,21 @@ def touchard_poly(n: int) -> DensePoly:
     """Polynomial with coefficient S(n, k) on x^k."""
     if n < 0:
         raise ValueError("touchard_poly requires n >= 0")
-    _ensure_stirling(n)
-    return DensePoly(tuple(_stirling_rows[n]))
+    return DensePoly(tuple(_stirling(n)))
 
 
 def fubini_poly(n: int) -> DensePoly:
     """Ordered-set-partition polynomial: coefficient k! * S(n, k) on x^k."""
     if n < 0:
         raise ValueError("fubini_poly requires n >= 0")
-    _ensure_stirling(n)
-    f = 1
-    out = []
-    for k, s in enumerate(_stirling_rows[n]):
-        if k > 0:
-            f *= k
-        out.append(f * s)
-    return DensePoly(tuple(out))
+    return DensePoly(tuple(s.factorial * v for s, v in zip(factorial_states(), _stirling(n))))
 
 
 def kurepa_poly(n: int) -> DensePoly:
     """Degree-n polynomial with coefficient k! on x^k; at x = 1 it sums to !(n+1)."""
     if n < 0:
         raise ValueError("kurepa_poly requires n >= 0")
-    out = []
-    f = 1
-    for k in range(n + 1):
-        if k > 0:
-            f *= k
-        out.append(f)
-    return DensePoly(tuple(out))
+    return DensePoly(tuple(s.factorial for s in factorial_states(0, n)))
 
 
 def factorial_sum(n: int) -> int:
@@ -209,18 +224,14 @@ def factorial_sum(n: int) -> int:
     """
     if n < 0:
         raise ValueError("factorial_sum requires n >= 0")
-    if n == 0:
-        return 0
-    return left_factorial(n + 1)
+    return _state(n + 1).left if n else 0
 
 
 def half_left_factorial(n: int) -> int:
     """r_n = factorial_sum(n) / 2, exact (the sum is even for n >= 1); r_0 = 0."""
     if n < 0:
         raise ValueError("half_left_factorial requires n >= 0")
-    if n == 0:
-        return 0
-    s = left_factorial(n + 1)
+    s = factorial_sum(n)
     if s % 2:
         raise ArithmeticError("factorial sum is odd, cannot halve exactly")
     return s // 2
@@ -230,21 +241,11 @@ def consecutive_factorial_sum(k: int, n: int) -> int:
     """Sum of n consecutive factorials starting at k!: k! + (k+1)! + ... + (k+n-1)!."""
     if k < 0 or n < 1:
         raise ValueError("consecutive_factorial_sum requires k >= 0 and n >= 1")
-    f = math.factorial(k)
-    acc = 0
-    for i in range(n):
-        acc += f
-        f *= k + i + 1
-    return acc
+    return sum(s.factorial for s in factorial_states(k, k + n - 1))
 
 
 def reciprocal_factorial_sum(k: int, n: int) -> Fraction:
     """Exact rational sum 1/k! + 1/(k+1)! + ... + 1/(k+n-1)!."""
     if k < 0 or n < 1:
         raise ValueError("reciprocal_factorial_sum requires k >= 0 and n >= 1")
-    f = math.factorial(k)
-    acc = Fraction(0)
-    for i in range(n):
-        acc += Fraction(1, f)
-        f *= k + i + 1
-    return acc
+    return sum((Fraction(1, s.factorial) for s in factorial_states(k, k + n - 1)), Fraction(0))

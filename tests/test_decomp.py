@@ -56,6 +56,31 @@ def test_decomposition_scaled_target():
         Decomposition(basis=Basis.DOBINSKI, terms=((3, 1),), target=EScaled(5, 2))
 
 
+def _rescan_greedy(target):
+    """The greedy rule with the index rescanned from 1 for every term."""
+    terms = []
+    remainder = target
+    while remainder > 0:
+        m = 1
+        while bell(m + 1) <= remainder:
+            m += 1
+        q, remainder = divmod(remainder, bell(m))
+        terms.append((m, q))
+    return tuple(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 10**200 - 1)))
+def test_greedy_matches_rescan(target):
+    assert greedy_bell_decomposition(target) == _rescan_greedy(target)
+
+
+def test_greedy_value_one_ties_to_index_one():
+    assert greedy_bell_decomposition(1) == ((1, 1),)
+    assert greedy_bell_decomposition(2) == ((2, 1),)
+    assert greedy_bell_decomposition(bell(30) + 1) == ((30, 1), (1, 1))
+
+
 def test_greedy_known_case():
     assert greedy_bell_decomposition(5914) == ((8, 1), (7, 2), (4, 1), (3, 1))
     assert greedy_bell_decomposition(0) == ()

@@ -92,6 +92,35 @@ def test_scan_altered_zero_shift_stays_at_two():
 def test_scan_altered_rejects_negative_n():
     with pytest.raises(ValueError):
         scan_altered(2, [-1])
+    with pytest.raises(ValueError):
+        scan_altered(2, [3, 0, -2])
+
+
+def test_scan_altered_empty_and_one_shot_iterables():
+    assert scan_altered(4, []) == []
+    rows = scan_altered(4, (n for n in (17, 15, 16)))
+    assert [(r.n, r.value) for r in rows] == [(17, 34), (15, 2), (16, 34)]
+
+
+def _shifted_gcd(a, n):
+    """gcd(F_n + a, F_(n+1) + a) from math.factorial sums, with F_0 = 0."""
+
+    def f(m):
+        return sum(math.factorial(k) for k in range(m + 1)) if m else 0
+
+    if n == 0:
+        return math.gcd(a, f(1) + a)
+    # the two terms differ by (n+1)!
+    return math.gcd(f(n) + a, math.factorial(n + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-10**6, 10**6), st.lists(st.integers(0, 150), max_size=12))
+def test_scan_altered_matches_factorial_oracle(a, ns):
+    rows = scan_altered(a, ns)
+    assert [r.n for r in rows] == ns
+    assert all(r.a == a for r in rows)
+    assert [r.value for r in rows] == [_shifted_gcd(a, n) for n in ns]
 
 
 def test_claimed_altered_piecewise():

@@ -7,7 +7,6 @@ streams; any change to the bytes of these tables fails here.
 
 import hashlib
 import os
-import random
 import subprocess
 import sys
 
@@ -17,7 +16,9 @@ import kurepa
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
 
-DECOMP_TARGET = random.Random("golden-decomp").randrange(10**2999, 10**3000)
+# a 3000-digit target drawn once with random.randrange(10**2999, 10**3000)
+with open(os.path.join(os.path.dirname(__file__), "data", "decomp_target.txt")) as fh:
+    DECOMP_TARGET = int(fh.read())
 
 GOLDEN_CSV = [
     (("seq", "factorial", "0", "1200"), "0501d88a46702e16288eb9d97a467efaaedc2b361762c5b98cc74f9699aec961"),
@@ -33,7 +34,7 @@ GOLDEN_CSV = [
     (("seq", "fermi", "0", "600"), "96a4ee1dbecaa69f26da9c5e934565d19ad1589ba518a3ec56745d3ef97b9907"),
     (("gcd-scan", "4", "1499"), "fdb933e78b617941dffb76590ff999eb9f83a57103c51b34650e0de22fbd088a"),
     (("gcd-scan", "2", "600"), "0a35fa7755b717eb3631c53ce6db9c99bf54ee2567c41c4e95a4eb1d68d2e178"),
-    (("decomp", str(DECOMP_TARGET)), "6c6b36409418a53c7cc27004466aaeb60dd19b9b409cf8b21a00f4804329902f"),
+    (("decomp", str(DECOMP_TARGET)), "7ea8b7a756da5768e0da693daf7e1ea023055f1e1648fdf34f3a91e355c2bf88"),
 ]
 
 REPORT_CSV_MD5 = "33affc09420c27073fa96628d3833ba0"

@@ -1,11 +1,15 @@
 """Unit tests for the exact integer sequences."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kurepa
 from kurepa.sequences import (
     DensePoly,
     alt_left_factorial,
@@ -122,6 +126,44 @@ def test_stirling_bounds():
         stirling2(3, 4)
     with pytest.raises(ValueError):
         stirling2(3, -1)
+
+
+def test_stirling_row_after_a_higher_row():
+    # the rolling row is at 40 here; asking for row 5 rebuilds from row 0
+    assert stirling2(40, 1) == 1
+    assert [stirling2(5, k) for k in range(6)] == [0, 1, 15, 25, 10, 1]
+    assert touchard_poly(4).coeffs == (0, 1, 7, 6, 1)
+    assert stirling2(41, 40) == math.comb(41, 2)
+
+
+def test_factorial_family_after_a_higher_index():
+    # the point functions roll one state forward; asking for a lower n restarts from 0
+    assert left_factorial(60) == sum(math.factorial(m) for m in range(60))
+    assert derangement(61) == 61 * derangement(60) - 1
+    assert [left_factorial(n) for n in (8, 3, 1)] == [5914, 4, 1]
+    assert [guy_alternating(n) for n in (8, 2, 5)] == [35899, 1, 101]
+
+
+def test_complementary_bell_memory_is_quadratic():
+    # one rolling Stirling row, not every row: the traced peak of
+    # complementary_bell(800) stays near 1 MB, where keeping all rows
+    # takes about 100 MB
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
+    code = (
+        "import tracemalloc\n"
+        "from kurepa.sequences import complementary_bell\n"
+        "tracemalloc.start()\n"
+        "complementary_bell(800)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src_dir),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 16 * 2**20
 
 
 def test_complementary_bell_values():
