@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 from .decomp import greedy_bell_decomposition, log_left_factorial
 from .discrepancy import MISMATCH
@@ -94,13 +95,17 @@ class OutputSpec:
 
 @dataclass
 class Table:
-    """One subcommand's output: tabular cells plus a plain rendering."""
+    """One subcommand's output: tabular cells plus a plain rendering.
+
+    `plain` may be lazy: only the plain format reads it, so values whose text
+    is costly (big ints) are converted once, by whichever renderer runs.
+    """
 
     command: str
     columns: list[str]
     rows: list[list]
     summary: dict
-    plain: list[str]
+    plain: Iterable[str]
     exit_code: int = EXIT_OK
 
 
@@ -174,7 +179,7 @@ def _build_seq(args, spec: OutputSpec) -> Table:
         columns=["n", args.name],
         rows=[[n, v] for n, v in zip(ns, values)],
         summary={"sequence": args.name, "n_lo": args.n_lo, "n_hi": args.n_hi, "count": len(values)},
-        plain=[str(v) for v in values],
+        plain=map(str, values),
     )
 
 
@@ -413,6 +418,7 @@ def main(argv=None) -> int:
     try:
         spec = OutputSpec(format=args.format, path=args.out, digits=args.digits)
         table = _BUILDERS[args.command](args, spec)
+        text = _render(spec, table)
     except UsageError as exc:
         print(f"kurepa: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -423,7 +429,7 @@ def main(argv=None) -> int:
         print(f"kurepa: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        _write(spec, _render(spec, table))
+        _write(spec, text)
     except OSError as exc:
         print(f"kurepa: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,8 +1,11 @@
 """Exact multiples of integer powers of e.
 
 An EScaled value is q * e^s with q an exact rational and s a small integer.
-Arithmetic never evaluates e; only approx() crosses into high-precision
-floating point, with guard digits on top of the requested precision.
+Arithmetic never evaluates e, so nothing here is approximate. The module
+also holds the shared rendering for the package's genuinely real-valued
+checks (logs of left factorials, occupation numbers): format_significant
+prints an mpmath value to a number of significant digits, and those checks
+compute with GUARD_DIGITS more than they print.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .sequences import bell, complementary_bell
 
@@ -76,18 +79,6 @@ def fermi(n: int) -> EScaled:
     return EScaled(Fraction(bell(n)), 2)
 
 
-def inv_fermi(n: int) -> EScaled:
-    """complementary_bell(n) * e^-2."""
-    return EScaled(Fraction(complementary_bell(n)), -2)
-
-
-def gas(n: int, sigma: int) -> EScaled:
-    """Bell_n * e^(1 - sigma) for sigma in {+1, -1}."""
-    if sigma not in (1, -1):
-        raise ValueError("gas requires sigma in {+1, -1}")
-    return EScaled(Fraction(bell(n)), 1 - sigma)
-
-
 def format_significant(value, digits: int) -> str:
     """Render an mpmath value to `digits` significant figures.
 
@@ -100,18 +91,3 @@ def format_significant(value, digits: int) -> str:
         return "0" if digits == 1 else "0." + "0" * (digits - 1)
     # nstr falls back to str() for types it does not know, floats included
     return mp.nstr(mp.mpf(value), digits, strip_zeros=False)
-
-
-def approx(x: EScaled, digits: int) -> str:
-    """Decimal approximation of x correct to `digits` significant figures."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if x.coeff == 0:
-        return format_significant(0, digits)
-    with mp.workdps(digits + GUARD_DIGITS):
-        val = (
-            mpf(x.coeff.numerator)
-            / x.coeff.denominator
-            * mp.e ** x.epower
-        )
-        return format_significant(val, digits)

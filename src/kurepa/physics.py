@@ -131,12 +131,6 @@ def kurepa_diagonal_check(n: int, m: int) -> DiscrepancyReport:
 PHOTON = "photon"
 
 
-@dataclass(frozen=True)
-class OccupationCurve:
-    x: float
-    value: float
-
-
 def occupation(x: float, sigma) -> float:
     """Mean occupation 1/(e^x - sigma); sigma is +1 (Bose), -1 (Fermi), or "photon"."""
     if x <= 0:
@@ -148,13 +142,20 @@ def occupation(x: float, sigma) -> float:
     return 1.0 / (math.exp(x) - sigma)
 
 
-def occupation_curve(xs, sigma) -> list[OccupationCurve]:
-    return [OccupationCurve(x=float(x), value=occupation(x, sigma)) for x in xs]
-
-
 def _expm1_hp(x):
     # series-safe e^x - 1: mpmath's expm1 below the cancellation threshold
     return mp.expm1(x) if x < _SMALL_X else mp.e**x - 1
+
+
+def _planck_routes(x):
+    """Direct occupation, its Bell-EGF reading and their relative gap, at the caller's precision.
+
+    The direct route is 1/(e^x - 1); the EGF route is 1/ln(e^(e^x - 1)).
+    """
+    growth = _expm1_hp(mp.mpf(x))
+    direct = 1 / growth
+    through_egf = 1 / mp.log(mp.exp(growth))
+    return direct, through_egf, abs(through_egf - direct) / direct
 
 
 def planck_bell_identity(x) -> DiscrepancyReport:
@@ -166,11 +167,7 @@ def planck_bell_identity(x) -> DiscrepancyReport:
     if x <= 0:
         raise ValueError("planck_bell_identity requires x > 0")
     with mp.workdps(PLANCK_DIGITS + GUARD_DIGITS):
-        xm = mp.mpf(x)
-        growth = _expm1_hp(xm)
-        direct = 1 / growth
-        through_egf = 1 / mp.log(mp.exp(growth))
-        rel = abs(through_egf - direct) / abs(direct)
+        direct, through_egf, rel = _planck_routes(x)
         status = MATCH if rel <= mp.mpf(f"1e-{PLANCK_AGREE_DIGITS}") else MISMATCH
         return DiscrepancyReport(
             claim_id=f"occupation.planck.x{float(x)}",
@@ -182,20 +179,12 @@ def planck_bell_identity(x) -> DiscrepancyReport:
         )
 
 
-def fermi_hole_symmetry(x: float) -> float:
-    """1/(e^x + 1) + 1/(e^-x + 1); exactly 1 for every x."""
-    return occupation(x, -1) + 1.0 / (math.exp(-x) + 1.0)
-
-
 def planck_identity_gap(x) -> float:
     """Relative gap between the direct Bose occupation and its EGF reading."""
     if x <= 0:
         raise ValueError("planck_identity_gap requires x > 0")
     with mp.workdps(PLANCK_DIGITS + GUARD_DIGITS):
-        growth = _expm1_hp(mp.mpf(x))
-        direct = 1 / growth
-        through_egf = 1 / mp.log(mp.exp(growth))
-        return float(abs(through_egf - direct) / direct)
+        return float(_planck_routes(x)[2])
 
 
 def debruijn_bound_check(n: int) -> DiscrepancyReport:

@@ -1,13 +1,15 @@
 """Exact integer sequences around the left factorial.
 
-Everything here is exact: plain Python ints, Fractions for the one
-rational-valued sum, and dense integer polynomials. Two streams carry the
-running state. `factorial_states` steps n! together with !n, the alternating
-sums and D_n, so a table of any of them costs one big-integer step per row;
-the point functions roll one cached state forward with the same step.
-Stirling numbers come from one rolling row, and Bell and complementary Bell
-values are memoized, so their tables hold O(n^2) bits. A request below the
-cached state or row restarts from 0. No cache is locked: nothing reads them
+Everything here is exact: plain Python ints and dense integer polynomials.
+Two streams carry the running state. `factorial_states` steps n! together
+with !n, the alternating sums and D_n, so a table of any of them costs one
+big-integer step per row; the point functions roll one cached state forward
+with the same step. `bell_rows` builds Aitken's array for
+a_(n+1) = sign * sum_k C(n, k) a_k: sign +1 gives the Bell numbers, -1 the
+complementary Bell numbers, and with a modulus the same rows reduced mod m.
+Both exact families are memoized, so their tables hold O(n^2) bits and one
+row. Stirling numbers come from one rolling row. A request below the cached
+state or row restarts from 0. No cache is locked: nothing reads them
 concurrently.
 """
 
@@ -111,14 +113,6 @@ def wagstaff(n: int) -> int:
 # where n = len(_stirling_row) - 1.
 _stirling_row: list[int] = [1]
 
-# Bell numbers, computed with the Bell triangle one row at a time so memory
-# stays O(n) rather than O(n^2). _bell_values[n] = Bell_n.
-_bell_values: list[int] = [1]
-_bell_last_row: list[int] = [1]
-
-# _complementary_bell_values[n] = sum of (-1)^k S(n, k)
-_complementary_bell_values: list[int] = [1]
-
 
 def _stirling(n: int) -> list[int]:
     """Row n of the Stirling triangle, rolled forward from the last row built."""
@@ -137,26 +131,47 @@ def stirling2(n: int, k: int) -> int:
     return _stirling(n)[k]
 
 
+def bell_rows(sign: int, modulus: int | None = None) -> Iterator[list[int]]:
+    """Rows 0, 1, 2, ... of Aitken's array for a_(n+1) = sign * sum_k C(n, k) a_k, a_0 = 1.
+
+    Row n + 1 is the running sums of row n, started from sign times its last
+    entry, and a_n is the first entry of row n (Aitken 1933). With a modulus
+    every entry is reduced mod it, so the rows give a_n mod m.
+    """
+    row = [1 if modulus is None else 1 % modulus]
+    while True:
+        yield row
+        sums = accumulate(row, initial=sign * row[-1])
+        row = list(sums) if modulus is None else [v % modulus for v in sums]
+
+
+# Per sign: the values a_0, a_1, ... found so far and the live generator of rows.
+_bell_memo = {sign: ([], bell_rows(sign)) for sign in (1, -1)}
+
+
+def _bell_family(sign: int, n: int) -> int:
+    values, rows = _bell_memo[sign]
+    while len(values) <= n:
+        values.append(next(rows)[0])
+    return values[n]
+
+
 def bell(n: int) -> int:
-    """Bell number Bell_n, via the Bell triangle."""
+    """Bell number Bell_n: row n of the Bell triangle starts with it."""
     if n < 0:
         raise ValueError("bell requires n >= 0")
-    global _bell_last_row
-    while len(_bell_values) <= n:
-        _bell_last_row = list(accumulate(_bell_last_row, initial=_bell_last_row[-1]))
-        _bell_values.append(_bell_last_row[0])
-    return _bell_values[n]
+    return _bell_family(1, n)
 
 
 def complementary_bell(n: int) -> int:
-    """Alternating row sum of Stirling numbers: sum of (-1)^k S(n, k)."""
+    """Complementary Bell number, the alternating Stirling row sum: sum of (-1)^k S(n, k).
+
+    It is a_n of the signed Bell triangle, a_(n+1) = -sum_k C(n, k) a_k
+    (Uppuluri and Carpenter), so no Stirling row is built.
+    """
     if n < 0:
         raise ValueError("complementary_bell requires n >= 0")
-    values = _complementary_bell_values
-    while len(values) <= n:
-        row = _stirling(len(values))
-        values.append(sum(row[0::2]) - sum(row[1::2]))
-    return values[n]
+    return _bell_family(-1, n)
 
 
 def derangement(n: int) -> int:
@@ -242,10 +257,3 @@ def consecutive_factorial_sum(k: int, n: int) -> int:
     if k < 0 or n < 1:
         raise ValueError("consecutive_factorial_sum requires k >= 0 and n >= 1")
     return sum(s.factorial for s in factorial_states(k, k + n - 1))
-
-
-def reciprocal_factorial_sum(k: int, n: int) -> Fraction:
-    """Exact rational sum 1/k! + 1/(k+1)! + ... + 1/(k+n-1)!."""
-    if k < 0 or n < 1:
-        raise ValueError("reciprocal_factorial_sum requires k >= 0 and n >= 1")
-    return sum((Fraction(1, s.factorial) for s in factorial_states(k, k + n - 1)), Fraction(0))

@@ -18,9 +18,11 @@ import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
+from .sequences import bell_rows
 
 CHECKPOINT_VERSION = 1
 HISTOGRAM_BUCKETS = 256
@@ -390,20 +392,16 @@ def run_search(
 
 
 def bell_mod(n: int, p: int) -> int:
-    """Bell number B_n mod p via the Stirling recurrence, rows reduced mod p."""
+    """Bell number B_n mod p: row n of the Bell triangle with every entry reduced mod p.
+
+    It shares no arithmetic with left_factorial_mod, so check_bell_congruence
+    compares two independent algorithms.
+    """
     if n < 0:
         raise ValueError("bell_mod requires n >= 0")
     if p < 1:
         raise ValueError("bell_mod requires p >= 1")
-    if n == 0:
-        return 1 % p
-    row = [1 % p] + [0] * n
-    for i in range(1, n + 1):
-        new = [0] * (n + 1)
-        for k in range(1, i + 1):
-            new[k] = (row[k - 1] + k * row[k]) % p
-        row = new
-    return sum(row) % p
+    return next(islice(bell_rows(1, p), n, None))[0]
 
 
 def check_bell_congruence(p: int) -> DiscrepancyReport:

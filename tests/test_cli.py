@@ -10,7 +10,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from kurepa import cli
 from kurepa.cli import main, parse_csv, render_csv
+from kurepa.sequences import bell
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,33 @@ def test_seq_single_point_range(capsys):
     code, out, _ = run(capsys, "seq", "factorial", "5", "5")
     assert code == 0
     assert out == "120\n"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_seq_converts_each_value_to_text_once(capsys, monkeypatch, fmt):
+    # int-to-str is quadratic in the digit count, so a big table must not pay it twice
+    calls = []
+
+    class Counted(int):
+        def __str__(self):
+            calls.append(int(self))
+            return int.__str__(self)
+
+    monkeypatch.setitem(cli.SEQUENCES, "bell", (lambda n: Counted(bell(n)), 0))
+    code, out, _ = run(capsys, "seq", "bell", "0", "9", "--format", fmt)
+    assert code == 0
+    assert out.splitlines()[-1].endswith("21147")
+    assert calls == [bell(n) for n in range(10)]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_seq_value_past_the_digit_limit_exits_2(capsys, monkeypatch, fmt):
+    # CPython refuses int-to-str past 4300 digits; the error surfaces while rendering
+    monkeypatch.setitem(cli.SEQUENCES, "bell", (lambda n: 10**5000 + n, 0))
+    code, out, err = run(capsys, "seq", "bell", "0", "2", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "Exceeds the limit (4300 digits)" in err
 
 
 ALL_JSON_COMMANDS = [

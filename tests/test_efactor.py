@@ -4,17 +4,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import mp
 
 from kurepa.efactor import (
     EScaled,
-    approx,
     dobinski,
     fermi,
     format_significant,
-    gas,
     inv_dobinski,
-    inv_fermi,
 )
 
 coeffs = st.fractions(
@@ -73,19 +69,10 @@ def test_named_constructors():
     assert dobinski(3) == EScaled(5, 1)
     assert str(dobinski(3)) == "5*e^1"
     assert fermi(4) == EScaled(15, 2)
-    assert inv_fermi(5) == EScaled(-2, -2)
     # the n = 2 complementary Bell number is 0, so the epower collapses
     assert inv_dobinski(2) == EScaled(0, 0)
     assert str(inv_dobinski(2)) == "0*e^0"
     assert inv_dobinski(3) == EScaled(1, -1)
-
-
-def test_gas_interpolates_the_two_statistics():
-    assert gas(3, 1) == EScaled(5, 0)
-    assert gas(3, -1) == EScaled(5, 2)
-    assert gas(3, -1) == fermi(3)
-    with pytest.raises(ValueError):
-        gas(3, 0)
 
 
 def test_format_significant_zero_padding():
@@ -104,13 +91,6 @@ def test_format_significant_rejects_bad_digits():
         format_significant(1.5, 0)
 
 
-def test_approx_matches_mpmath():
-    assert approx(dobinski(3), 15) == "13.5914091422952"
-    assert approx(EScaled(0, 0), 5) == "0.0000"
-    with pytest.raises(ValueError):
-        approx(dobinski(3), 0)
-
-
 @given(st.integers(min_value=0, max_value=30))
 def test_dobinski_tracks_bell(n):
     from kurepa.sequences import bell
@@ -120,9 +100,3 @@ def test_dobinski_tracks_bell(n):
     if bell(n) != 0:
         assert dobinski(n).epower == 1
         assert fermi(n).epower == 2
-
-
-def test_approx_digit_count_is_meaningful():
-    with mp.workdps(40):
-        want = mp.nstr(5 * mp.e**2, 20, strip_zeros=False)
-    assert approx(fermi(3), 20) == want

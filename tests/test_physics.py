@@ -3,23 +3,20 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from mpmath import mp
 
 from kurepa.discrepancy import MATCH, MISMATCH
 from kurepa.physics import (
-    OccupationCurve,
     OrderingExpansion,
     antinormal_ordering,
     debruijn_bound_check,
     falling,
     falling_factorial_check,
-    fermi_hole_symmetry,
     kurepa_diagonal_check,
     kurepa_normal_ordering,
     normal_ordering,
     occupation,
-    occupation_curve,
     planck_bell_identity,
     planck_identity_gap,
 )
@@ -141,13 +138,6 @@ def test_occupation_validation():
         occupation(1.0, 2)
 
 
-def test_occupation_curve_rows():
-    rows = occupation_curve([0.5, 1.0], 1)
-    assert [type(r) for r in rows] == [OccupationCurve, OccupationCurve]
-    assert rows[0].x == 0.5
-    assert rows[0].value == occupation(0.5, 1)
-
-
 def test_planck_bell_identity_samples():
     for x in (0.01, math.log(2), 1.0, 5.0):
         rep = planck_bell_identity(x)
@@ -167,13 +157,6 @@ def test_planck_identity_gap_is_tiny():
 def test_planck_identity_gap_validation():
     with pytest.raises(ValueError):
         planck_identity_gap(-2.0)
-
-
-@settings(max_examples=60)
-@given(st.floats(min_value=0.001, max_value=30.0, allow_nan=False))
-def test_fermi_hole_symmetry(x):
-    """n_F(x) + n_F(-x) = 1 for the Fermi factor, to rounding."""
-    assert fermi_hole_symmetry(x) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_debruijn_bound_check_matches():
