@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import kurepa
+from kurepa.report import full_report
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
 
@@ -58,3 +59,12 @@ def test_golden_csv(argv, digest):
 
 def test_report_csv_md5():
     assert hashlib.md5(kurepa_csv("report")).hexdigest() == REPORT_CSV_MD5
+
+
+# sha256 of every row's claim id and note; the csv carries no note column
+REPORT_NOTES_SHA256 = "e5089aa3646c9381e852f637208e3c8ff23eab675176cb25c54b301265671b80"
+
+
+def test_report_notes_sha256():
+    text = "".join(f"{r.claim_id}\t{r.note}\n" for r in full_report())
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_NOTES_SHA256
