@@ -42,12 +42,7 @@ from .sequences import (
     left_factorial,
     wagstaff,
 )
-from .verifier import (
-    CheckpointFormatError,
-    CheckpointMismatchError,
-    canonical_report,
-    run_search,
-)
+from .verifier import canonical_report, run_search
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 10
@@ -419,10 +414,7 @@ def main(argv=None) -> int:
         spec = OutputSpec(format=args.format, path=args.out, digits=args.digits)
         table = _BUILDERS[args.command](args, spec)
         text = _render(spec, table)
-    except UsageError as exc:
-        print(f"kurepa: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CheckpointFormatError, CheckpointMismatchError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"kurepa: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

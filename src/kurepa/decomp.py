@@ -16,7 +16,7 @@ from importlib import resources
 
 from mpmath import mp, mpf
 
-from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
+from .discrepancy import MATCH, MISMATCH, DiscrepancyReport, compare
 from .efactor import GUARD_DIGITS, EScaled, format_significant
 from .sequences import bell, complementary_bell, factorial_states, left_factorial
 
@@ -142,14 +142,7 @@ def verify_decomposition(
         if index < 0 or coeff < 0:
             raise ValueError("verify_decomposition requires index, coeff >= 0")
         total += coeff * basis_coefficient(basis, index)
-    want = _target_coefficient(target, basis)
-    return DiscrepancyReport(
-        claim_id=claim_id,
-        location=location,
-        claimed=str(want),
-        computed=str(total),
-        status=MATCH if total == want else MISMATCH,
-    )
+    return compare(claim_id, location, _target_coefficient(target, basis), total)
 
 
 def kurepa_sequence_sum(n: int) -> int:

@@ -34,7 +34,11 @@ class DiscrepancyReport:
 
 
 def compare(claim_id: str, location: str, claimed, computed, note: str = "") -> DiscrepancyReport:
-    """Build a report by exact string comparison of the two rendered values."""
+    """Build a report by exact string comparison of the two rendered values.
+
+    This is the status rule of every exact claim in the package; only the
+    numeric checks judged within a tolerance build DiscrepancyReport directly.
+    """
     c1, c2 = str(claimed), str(computed)
     return DiscrepancyReport(
         claim_id=claim_id,

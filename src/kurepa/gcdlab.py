@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
+from .discrepancy import DiscrepancyReport, compare
 from .sequences import factorial, factorial_sum, factorial_states, half_left_factorial
 
 BOTH_EVEN = "both-even"
@@ -130,14 +130,8 @@ def check_equivalence_chain(n: int) -> DiscrepancyReport:
     g1 = math.gcd(fn, fac)
     g2 = math.gcd(rn, fac // 2)
     linked = "linked" if g1 == 2 * g2 else "unlinked"
-    computed = f"{g1}_{g2}_{linked}"
-    claimed = "2_1_linked"
-    return DiscrepancyReport(
-        claim_id=f"equivalence.chain.n{n}",
-        location="sec4.theorem4.17",
-        claimed=claimed,
-        computed=computed,
-        status=MATCH if computed == claimed else MISMATCH,
+    return compare(
+        f"equivalence.chain.n{n}", "sec4.theorem4.17", "2_1_linked", f"{g1}_{g2}_{linked}"
     )
 
 
@@ -198,32 +192,16 @@ def check_lemma_fixtures(a: int, n_max: int = 20) -> list[DiscrepancyReport]:
     threshold sits between the two; both scans are reported.
     """
     location = _CLAIM_LOCATIONS[a]
-    out = []
-    for row in scan_altered(a, range(n_max + 1)):
-        claim = claimed_altered(a, row.n)
-        out.append(
-            DiscrepancyReport(
-                claim_id=f"altered.a{a}.n{row.n}",
-                location=location,
-                claimed=str(claim),
-                computed=str(row.value),
-                status=MATCH if claim == row.value else MISMATCH,
-            )
-        )
+    out = [
+        compare(f"altered.a{a}.n{row.n}", location, claimed_altered(a, row.n), row.value)
+        for row in scan_altered(a, range(n_max + 1))
+    ]
     if a == 3:
-        for s in factorial_states(1, n_max):
-            value = math.gcd(s.left + a, s.left + s.factorial + a)
-            claim = claimed_altered(a, s.n)
-            out.append(
-                DiscrepancyReport(
-                    claim_id=f"altered.a{a}.shifted.n{s.n}",
-                    location=location,
-                    claimed=str(claim),
-                    computed=str(value),
-                    status=MATCH if claim == value else MISMATCH,
-                    note="origin shifted one step down",
-                )
-            )
+        out += [
+            compare(f"altered.a{a}.shifted.n{s.n}", location, claimed_altered(a, s.n),
+                    math.gcd(s.left + a, s.left + s.factorial + a), "origin shifted one step down")
+            for s in factorial_states(1, n_max)
+        ]
     return out
 
 
@@ -231,19 +209,10 @@ def check_table9(n_lo: int = 2, n_hi: int = 10) -> list[DiscrepancyReport]:
     """gcd(|alternating sum|, !n) = 2 for n in [n_lo, n_hi], per the published table."""
     if n_lo < 2 or n_hi < n_lo:
         raise ValueError("check_table9 requires 2 <= n_lo <= n_hi")
-    out = []
-    for s in factorial_states(n_lo, n_hi):
-        g = math.gcd(abs(s.alt), s.left)
-        out.append(
-            DiscrepancyReport(
-                claim_id=f"table9.n{s.n}",
-                location="sec4.table9",
-                claimed="2",
-                computed=str(g),
-                status=MATCH if g == 2 else MISMATCH,
-            )
-        )
-    return out
+    return [
+        compare(f"table9.n{s.n}", "sec4.table9", 2, math.gcd(abs(s.alt), s.left))
+        for s in factorial_states(n_lo, n_hi)
+    ]
 
 
 def plus_minus_one(n: int, sign: int) -> int:
@@ -264,45 +233,14 @@ def check_ab_sequences(n_max: int = 10) -> list[DiscrepancyReport]:
         raise ValueError("check_ab_sequences requires n_max >= 1")
     a_vals = [plus_minus_one(n, 1) for n in range(n_max + 2)]
     b_vals = [plus_minus_one(n, -1) for n in range(n_max + 2)]
-    out = []
-    for n in range(n_max + 1):
-        g = math.gcd(a_vals[n], a_vals[n + 1])
-        out.append(
-            DiscrepancyReport(
-                claim_id=f"aseq.gcd.n{n}",
-                location="sec4.theorem4.37",
-                claimed="1",
-                computed=str(g),
-                status=MATCH if g == 1 else MISMATCH,
-            )
-        )
-    for n in range(n_max + 1):
-        if n in (0, 1):
-            claim = 3
-        elif n == 3:
-            claim = 11
-        else:
-            claim = 1
-        g = math.gcd(b_vals[n], b_vals[n + 1])
-        out.append(
-            DiscrepancyReport(
-                claim_id=f"bseq.gcd.n{n}",
-                location="sec4.theorem4.38",
-                claimed=str(claim),
-                computed=str(g),
-                status=MATCH if claim == g else MISMATCH,
-            )
-        )
-    for n in range(n_max + 1):
-        claim = 2 if n == 0 else 1
-        g = math.gcd(a_vals[n], b_vals[n])
-        out.append(
-            DiscrepancyReport(
-                claim_id=f"abpair.gcd.n{n}",
-                location="sec4.lemma4.39",
-                claimed=str(claim),
-                computed=str(g),
-                status=MATCH if claim == g else MISMATCH,
-            )
-        )
-    return out
+    ns = range(n_max + 1)
+    return (
+        [compare(f"aseq.gcd.n{n}", "sec4.theorem4.37", 1, math.gcd(a_vals[n], a_vals[n + 1]))
+         for n in ns]
+        + [compare(f"bseq.gcd.n{n}", "sec4.theorem4.38", 3 if n in (0, 1) else 11 if n == 3 else 1,
+                   math.gcd(b_vals[n], b_vals[n + 1]))
+           for n in ns]
+        + [compare(f"abpair.gcd.n{n}", "sec4.lemma4.39", 2 if n == 0 else 1,
+                   math.gcd(a_vals[n], b_vals[n]))
+           for n in ns]
+    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .decomp import greedy_bell_decomposition, kurepa_sequence_sum
-from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
+from .discrepancy import MATCH, MISMATCH, DiscrepancyReport, compare
 from .efactor import GUARD_DIGITS, format_significant
 from .sequences import bell, stirling2
 
@@ -89,13 +89,8 @@ def falling_factorial_check(n: int, m_max: int) -> DiscrepancyReport:
         if lhs != rhs:
             computed = f"m={m}: {lhs} != {rhs}"
             break
-    return DiscrepancyReport(
-        claim_id=f"ordering.diagonal.n{n}",
-        location="sec6.1",
-        claimed="exact",
-        computed=computed,
-        status=MATCH if computed == "exact" else MISMATCH,
-        note=f"checked m = 0..{m_max}",
+    return compare(
+        f"ordering.diagonal.n{n}", "sec6.1", "exact", computed, f"checked m = 0..{m_max}"
     )
 
 
@@ -119,13 +114,7 @@ def kurepa_diagonal_check(n: int, m: int) -> DiscrepancyReport:
     terms = kurepa_normal_ordering(n)
     lhs = sum(coeff * expansion.eval_at(m) for _, coeff, expansion in terms)
     rhs = sum(coeff * m**index for index, coeff, _ in terms)
-    return DiscrepancyReport(
-        claim_id=f"ordering.kurepa.n{n}.m{m}",
-        location="sec6.theorem6.7",
-        claimed=str(rhs),
-        computed=str(lhs),
-        status=MATCH if lhs == rhs else MISMATCH,
-    )
+    return compare(f"ordering.kurepa.n{n}.m{m}", "sec6.theorem6.7", rhs, lhs)
 
 
 PHOTON = "photon"

@@ -7,6 +7,14 @@ separators dropped, scientific notation expanded), nothing is corrected
 before comparison, so misprints surface as mismatch rows whose note says
 what the recomputation found instead.
 
+A row is built one of two ways. A printed column goes through _column,
+which pairs each cell with its recomputation fn(n); a single claim calls
+discrepancy.compare directly, as _column does per cell. compare sets the
+status: match when the two rendered strings are equal. The exact checks in
+gcdlab, physics, decomp and verifier build their rows with compare too.
+The one row here judged within a tolerance is the n = 5 log aggregate in
+log_rows.
+
 Cell rendering is shared between the claimed and computed sides:
 integers print plain, halves print as decimals ("0.5"), polynomial
 coefficient lists join ascending with underscores (zero polynomial "0"),
@@ -22,7 +30,6 @@ from fractions import Fraction
 from mpmath import mp
 
 from .decomp import (
-    Basis,
     alt_kurepa_sequence_sum,
     check_log_identity,
     kurepa_sequence_sum,
@@ -97,8 +104,34 @@ def _lf0(n: int) -> int:
     return 0 if n == 0 else left_factorial(n)
 
 
-def _row(claim_id, location, claimed, computed, note=""):
-    return compare(claim_id, location, claimed, computed, note)
+def _kpoly(n: int) -> str:
+    return _poly(kurepa_poly(n).coeffs)
+
+
+def _weights(ordering, n: int) -> str:
+    """An ordering expansion as printed: "1" at order 0, else weight 0 then k = 1..n."""
+    if n == 0:
+        return "1"
+    exp = ordering(n)
+    return "_".join(["0"] + [str(exp.coefficient(k)) for k in range(1, n + 1)])
+
+
+def _column(key, loc, cells, fn, start=0, note="", cell=_c) -> list[DiscrepancyReport]:
+    """One compare() row per published cell: `key.n<n>` holds cell(published) against cell(fn(n)).
+
+    n counts up from `start`. `note` is one string for every row, or a dict
+    {n: note} for notes on some rows only.
+    """
+    return [
+        compare(f"{key}.n{n}", loc, cell(published), cell(fn(n)),
+                note.get(n, "") if isinstance(note, dict) else note)
+        for n, published in enumerate(cells, start)
+    ]
+
+
+# the factorial-coefficient polynomials f_0..f_5 as printed in tables 6, 7 and 11
+_FPOLY = ("0", "1_1", "1_1_2", "1_1_2_6", "1_1_2_6_24", "1_1_2_6_24_120")
+_FPOLY_NOTE = {0: "the constant term 0! never vanishes"}
 
 
 # ---------------------------------------------------------------- section 1
@@ -107,70 +140,31 @@ def _row(claim_id, location, claimed, computed, note=""):
 def table1_rows() -> list[DiscrepancyReport]:
     """Headline table: factorials, left factorials and their companions."""
     loc = "sec1.table1"
-    out = []
-    nfact = (1, 1, 2, 6, 24, 120, 720, 5040, 40320)
-    for n, cell in enumerate(nfact):
-        out.append(_row(f"table1.nfact.n{n}", loc, cell, factorial(n)))
-    lf = (1, 2, 4, 10, 34, 154, 874, 5914)
-    for n, cell in enumerate(lf, start=1):
-        out.append(_row(f"table1.kurepa.n{n}", loc, cell, left_factorial(n)))
-    alt = (1, 0, 2, -4, 20, -100, 620, -4420)
-    for n, cell in enumerate(alt, start=1):
-        out.append(
-            _row(
-                f"table1.alt.n{n}",
-                loc,
-                cell,
-                alt_left_factorial(n),
-                note="row header reads (-1)^n !n; cells follow the alternating sum",
-            )
-        )
-    diff = (1, 0, 0, 2, 14, 86, 566, 4166, 34406)
-    for n, cell in enumerate(diff):
-        out.append(_row(f"table1.diff.n{n}", loc, cell, factorial(n) - _lf0(n)))
-    tot = (1, 2, 4, 10, 34, 154, 874, 5914, 46234)
-    for n, cell in enumerate(tot):
-        out.append(_row(f"table1.sum.n{n}", loc, cell, _lf0(n) + factorial(n)))
-    half = (Fraction(1, 2), 0, 0, 1, 7, 43, 283, 2083, 17203)
-    for n, cell in enumerate(half):
-        out.append(
-            _row(
-                f"table1.halfdiff.n{n}",
-                loc,
-                _c(cell),
-                _c(Fraction(factorial(n) - _lf0(n), 2)),
-                note="row header reads (!n - n!)/2; cells follow (n! - !n)/2",
-            )
-        )
-    rrow = (Fraction(1, 2), 1, 2, 5, 17, 77, 437, 2957)
-    for n, cell in enumerate(rrow, start=1):
-        out.append(
-            _row(f"table1.r.n{n}", loc, _c(cell), _c(Fraction(left_factorial(n), 2)))
-        )
-    gcds = (1, 1, 2, 2, 2, 2, 2, 2, 2)
-    for n, cell in enumerate(gcds):
-        out.append(
-            _row(f"table1.gcd.n{n}", loc, cell, math.gcd(_lf0(n), factorial(n)))
-        )
-    twor = (1, 2, 4, 10, 34, 154, 874, 5914)
-    for n, cell in enumerate(twor, start=1):
-        out.append(
-            _row(f"table1.twor.n{n}", loc, _c(cell), _c(2 * Fraction(left_factorial(n), 2)))
-        )
-    der = (1, 0, 1, 2, 9, 44, 265, 1854, 14833)
-    for n, cell in enumerate(der):
-        out.append(_row(f"table1.der.n{n}", loc, cell, derangement(n)))
+    half = Fraction(1, 2)
     bells = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
-    for n, cell in enumerate(bells):
-        out.append(_row(f"table1.bell.n{n}", loc, cell, bell(n)))
-    for n, cell in enumerate(bells):
-        out.append(
-            _row(f"table1.dob.n{n}", loc, _c(EScaled(cell, 1)), _c(dobinski(n)))
-        )
-    inv = (1, -1, 0, 1, 1, -2, -9, -9, 50)
-    for n, cell in enumerate(inv):
-        out.append(_row(f"table1.invbell.n{n}", loc, cell, complementary_bell(n)))
-    return out
+    return [
+        *_column("table1.nfact", loc, (1, 1, 2, 6, 24, 120, 720, 5040, 40320), factorial),
+        *_column("table1.kurepa", loc, (1, 2, 4, 10, 34, 154, 874, 5914), left_factorial, 1),
+        *_column("table1.alt", loc, (1, 0, 2, -4, 20, -100, 620, -4420), alt_left_factorial, 1,
+                 note="row header reads (-1)^n !n; cells follow the alternating sum"),
+        *_column("table1.diff", loc, (1, 0, 0, 2, 14, 86, 566, 4166, 34406),
+                 lambda n: factorial(n) - _lf0(n)),
+        *_column("table1.sum", loc, (1, 2, 4, 10, 34, 154, 874, 5914, 46234),
+                 lambda n: _lf0(n) + factorial(n)),
+        *_column("table1.halfdiff", loc, (half, 0, 0, 1, 7, 43, 283, 2083, 17203),
+                 lambda n: Fraction(factorial(n) - _lf0(n), 2),
+                 note="row header reads (!n - n!)/2; cells follow (n! - !n)/2"),
+        *_column("table1.r", loc, (half, 1, 2, 5, 17, 77, 437, 2957),
+                 lambda n: Fraction(left_factorial(n), 2), 1),
+        *_column("table1.gcd", loc, (1, 1, 2, 2, 2, 2, 2, 2, 2),
+                 lambda n: math.gcd(_lf0(n), factorial(n))),
+        *_column("table1.twor", loc, (1, 2, 4, 10, 34, 154, 874, 5914),
+                 lambda n: 2 * Fraction(left_factorial(n), 2), 1),
+        *_column("table1.der", loc, (1, 0, 1, 2, 9, 44, 265, 1854, 14833), derangement),
+        *_column("table1.bell", loc, bells, bell),
+        *_column("table1.dob", loc, [EScaled(c, 1) for c in bells], dobinski),
+        *_column("table1.invbell", loc, (1, -1, 0, 1, 1, -2, -9, -9, 50), complementary_bell),
+    ]
 
 
 def congruence_rows() -> list[DiscrepancyReport]:
@@ -183,28 +177,14 @@ def congruence_rows() -> list[DiscrepancyReport]:
 
 def foundation_rows() -> list[DiscrepancyReport]:
     """Consecutive factorial sums at k = 0 and the signed Dobinski value list."""
-    out = []
-    for n in (1, 5, 8, 12):
-        out.append(
-            _row(
-                f"sec2.consecutive.k0.n{n}",
-                "sec2.sums",
-                left_factorial(n),
-                consecutive_factorial_sum(0, n),
-            )
-        )
-    inv = (-1, 0, 1, 1, -2, -9, -9)
-    for n, cell in enumerate(inv, start=1):
-        out.append(
-            _row(
-                f"sec2.invdob.n{n}",
-                "sec2.invdob",
-                _c(EScaled(cell, -1)),
-                _c(inv_dobinski(n)),
-                note="zero stores no e power" if cell == 0 else "",
-            )
-        )
-    return out
+    sums = [
+        compare(f"sec2.consecutive.k0.n{n}", "sec2.sums", left_factorial(n),
+                consecutive_factorial_sum(0, n))
+        for n in (1, 5, 8, 12)
+    ]
+    inv = [EScaled(c, -1) for c in (-1, 0, 1, 1, -2, -9, -9)]
+    return sums + _column("sec2.invdob", "sec2.invdob", inv, inv_dobinski, 1,
+                          note={2: "zero stores no e power"})
 
 
 # ---------------------------------------------------------------- section 3
@@ -236,11 +216,10 @@ def decomposition_rows() -> list[DiscrepancyReport]:
     """Every published decomposition row from the bundled fixture file."""
     out = []
     for fx in load_fixtures():
-        location = "adhoc"
-        for prefix, loc in _FIXTURE_LOCATIONS:
-            if fx.label.startswith(prefix + "."):
-                location = loc
-                break
+        location = next(
+            (loc for prefix, loc in _FIXTURE_LOCATIONS if fx.label.startswith(prefix + ".")),
+            "adhoc",
+        )
         row = verify_decomposition(
             fx.value, fx.terms, fx.basis, claim_id=fx.label, location=location
         )
@@ -255,55 +234,23 @@ def decomposition_rows() -> list[DiscrepancyReport]:
 def table4_rows() -> list[DiscrepancyReport]:
     """Alternating sums, left factorials, top-anchored alternating factorials."""
     loc = "sec4.table4"
-    out = []
-    asum = (0, 1, 0, 2, -4, 20, -100, 620, -4420, 35900, -326980)
-    for n, cell in enumerate(asum):
-        out.append(_row(f"table4.asum.n{n}", loc, cell, alt_left_factorial(n)))
-    kcol = (0, 1, 2, 4, 10, 34, 154, 874, 5914, 46234, 409114)
-    for n, cell in enumerate(kcol):
-        out.append(
-            _row(
-                f"table4.kurepa.n{n}",
-                loc,
-                cell,
-                _lf0(n),
-                note="empty left factorial taken as 0" if n == 0 else "",
-            )
-        )
-    guy = (0, 1, 1, 5, 19, 101, 619, 4421, 35899, 326981, 3301819)
-    for n, cell in enumerate(guy):
-        out.append(
-            _row(
-                f"table4.guy.n{n}",
-                loc,
-                cell,
-                guy_alternating(n),
-                note="column header indexes n+1; cells follow index n",
-            )
-        )
-    wk = (0, 0, 1, 3, 9, 33, 153, 873, 5913, 46233, 409113)
-    for n, cell in enumerate(wk):
-        out.append(
-            _row(
-                f"table4.wagstaff.n{n}",
-                loc,
-                cell,
-                _lf0(n) - 1 if n == 0 else wagstaff(n),
-                note="empty left factorial minus one is -1" if n == 0 else "",
-            )
-        )
-    return out
+    return [
+        *_column("table4.asum", loc, (0, 1, 0, 2, -4, 20, -100, 620, -4420, 35900, -326980),
+                 alt_left_factorial),
+        *_column("table4.kurepa", loc, (0, 1, 2, 4, 10, 34, 154, 874, 5914, 46234, 409114),
+                 _lf0, note={0: "empty left factorial taken as 0"}),
+        *_column("table4.guy", loc, (0, 1, 1, 5, 19, 101, 619, 4421, 35899, 326981, 3301819),
+                 guy_alternating, note="column header indexes n+1; cells follow index n"),
+        *_column("table4.wagstaff", loc, (0, 0, 1, 3, 9, 33, 153, 873, 5913, 46233, 409113),
+                 lambda n: _lf0(n) - 1 if n == 0 else wagstaff(n),
+                 note={0: "empty left factorial minus one is -1"}),
+    ]
 
 
 def table5_rows() -> list[DiscrepancyReport]:
     """Index alignment: the f value one step down equals the left factorial."""
     return [
-        _row(
-            f"table5.align.n{n}",
-            "sec4.table5",
-            left_factorial(n),
-            factorial_sum(n - 1),
-        )
+        compare(f"table5.align.n{n}", "sec4.table5", left_factorial(n), factorial_sum(n - 1))
         for n in range(2, 9)
     ]
 
@@ -311,244 +258,134 @@ def table5_rows() -> list[DiscrepancyReport]:
 def table6_rows() -> list[DiscrepancyReport]:
     """Fubini polynomials beside the factorial-coefficient polynomials."""
     loc = "sec4.table6"
-    out = []
     fub = ((1,), (0, 1), (0, 1, 2), (0, 1, 6, 6), (0, 1, 14, 36, 24), (0, 1, 30, 150, 240, 120))
-    for n, cs in enumerate(fub):
-        out.append(
-            _row(f"table6.fubini.n{n}", loc, _poly(cs), _poly(fubini_poly(n).coeffs))
-        )
-    fp = ("0", "1_1", "1_1_2", "1_1_2_6", "1_1_2_6_24", "1_1_2_6_24_120")
-    for n, cs in enumerate(fp):
-        out.append(
-            _row(
-                f"table6.fpoly.n{n}",
-                loc,
-                cs,
-                _poly(kurepa_poly(n).coeffs),
-                note="the constant term 0! never vanishes" if n == 0 else "",
-            )
-        )
-    return out
+    return [
+        *_column("table6.fubini", loc, fub, lambda n: fubini_poly(n).coeffs, cell=_poly),
+        *_column("table6.fpoly", loc, _FPOLY, _kpoly, note=_FPOLY_NOTE, cell=str),
+    ]
 
 
 def table7_rows() -> list[DiscrepancyReport]:
     """Half polynomials and values beside the full ones."""
     loc = "sec4.table7"
-    out = []
     h = Fraction(1, 2)
-    rpoly = (
-        ("0", "zero against half the constant term"),
-        (_poly((h, h)), ""),
-        (_poly((h, h, 1)), ""),
-        (_poly((h, h, 3, 3)), "printed x^2 coefficient 3; half of 2! is 1"),
-        (_poly((h, h, 3, 3, 12)), "printed x^2 coefficient 3; half of 2! is 1"),
-        (_poly((h, h, 3, 3, 12, 60)), "printed x^2 coefficient 3; half of 2! is 1"),
-    )
-    for n, (cs, note) in enumerate(rpoly):
-        halves = tuple(Fraction(c, 2) for c in kurepa_poly(n).coeffs)
-        out.append(_row(f"table7.rpoly.n{n}", loc, cs, _poly(halves), note=note))
-    rval = (0, 1, 2, 5, 17, 77)
-    for n, cell in enumerate(rval):
-        out.append(_row(f"table7.r.n{n}", loc, cell, half_left_factorial(n)))
-    fp = ("0", "1_1", "1_1_2", "1_1_2_6", "1_1_2_6_24", "1_1_2_6_24_120")
-    for n, cs in enumerate(fp):
-        out.append(
-            _row(
-                f"table7.fpoly.n{n}",
-                loc,
-                cs,
-                _poly(kurepa_poly(n).coeffs),
-                note="the constant term 0! never vanishes" if n == 0 else "",
-            )
-        )
-    fval = (0, 2, 4, 10, 34, 154)
-    for n, cell in enumerate(fval):
-        out.append(_row(f"table7.f.n{n}", loc, cell, factorial_sum(n)))
-    return out
+    rpoly = ((0,), (h, h), (h, h, 1), (h, h, 3, 3), (h, h, 3, 3, 12), (h, h, 3, 3, 12, 60))
+    misprint = "printed x^2 coefficient 3; half of 2! is 1"
+    return [
+        *_column("table7.rpoly", loc, rpoly,
+                 lambda n: [Fraction(c, 2) for c in kurepa_poly(n).coeffs], cell=_poly,
+                 note={0: "zero against half the constant term", 3: misprint, 4: misprint,
+                       5: misprint}),
+        *_column("table7.r", loc, (0, 1, 2, 5, 17, 77), half_left_factorial),
+        *_column("table7.fpoly", loc, _FPOLY, _kpoly, note=_FPOLY_NOTE, cell=str),
+        *_column("table7.f", loc, (0, 2, 4, 10, 34, 154), factorial_sum),
+    ]
 
 
 def equivalence_rows() -> list[DiscrepancyReport]:
     """The halving equivalence: proof table columns plus the linked gcd chain."""
     loc = "sec4.theorem4.17.table"
-    out = []
-    nfact = (1, 1, 2, 6, 24, 120, 720, 5040, 40320, 362880, 3628800)
-    for n, cell in enumerate(nfact):
-        out.append(_row(f"thm4.17.nfact.n{n}", loc, cell, factorial(n)))
-    tcol = (Fraction(1, 2), 1, 3, 12, 60, 360, 2520, 20160, 181440, 1814400, 19958400)
-    for n, cell in enumerate(tcol):
-        out.append(
-            _row(
-                f"thm4.17.t.n{n}",
-                loc,
-                _c(cell),
-                _c(Fraction(factorial(n + 1), 2)),
-                note="printed in scientific form" if n == 10 else "",
-            )
-        )
-    fcol = (2, 4, 10, 34, 154, 874, 5914, 46234, 409114, 4037914)
-    for n, cell in enumerate(fcol, start=1):
-        out.append(_row(f"thm4.17.f.n{n}", loc, cell, factorial_sum(n)))
-    rcol = (1, 2, 5, 17, 77, 437, 2957, 23117, 204557, 2018957)
-    for n, cell in enumerate(rcol, start=1):
-        out.append(_row(f"thm4.17.r.n{n}", loc, cell, half_left_factorial(n)))
-    for n in range(1, 11):
-        g = math.gcd(half_left_factorial(n), factorial(n + 1) // 2)
-        out.append(_row(f"thm4.17.gcdrt.n{n}", loc, 1, g))
-    for n in range(2, 11):
-        g = gcd_stein(factorial_sum(n), factorial(n + 1)).result
-        out.append(_row(f"thm4.17.binary.n{n}", loc, 2, g))
-    out.extend(check_equivalence_chain(n) for n in range(1, 11))
-    return out
+    half = Fraction(1, 2)
+    return [
+        *_column("thm4.17.nfact", loc, (1, 1, 2, 6, 24, 120, 720, 5040, 40320, 362880, 3628800),
+                 factorial),
+        *_column("thm4.17.t", loc,
+                 (half, 1, 3, 12, 60, 360, 2520, 20160, 181440, 1814400, 19958400),
+                 lambda n: Fraction(factorial(n + 1), 2), note={10: "printed in scientific form"}),
+        *_column("thm4.17.f", loc, (2, 4, 10, 34, 154, 874, 5914, 46234, 409114, 4037914),
+                 factorial_sum, 1),
+        *_column("thm4.17.r", loc, (1, 2, 5, 17, 77, 437, 2957, 23117, 204557, 2018957),
+                 half_left_factorial, 1),
+        *_column("thm4.17.gcdrt", loc, (1,) * 10,
+                 lambda n: math.gcd(half_left_factorial(n), factorial(n + 1) // 2), 1),
+        *_column("thm4.17.binary", loc, (2,) * 9,
+                 lambda n: gcd_stein(factorial_sum(n), factorial(n + 1)).result, 2),
+        *(check_equivalence_chain(n) for n in range(1, 11)),
+    ]
 
 
 def corollary_poly_rows() -> list[DiscrepancyReport]:
     """Polynomial evaluations at 1 and -1 from the two worked corollaries."""
     loc = "sec4.corollary"
-    out = []
-    at_one = (2, 4, 10, 34, 154)
-    for n, cell in enumerate(at_one, start=1):
-        out.append(_row(f"cor.fone.n{n}", loc, cell, kurepa_poly(n).eval(1)))
-    at_minus = (0, 2, 4, 20, -100)
-    for n, cell in enumerate(at_minus, start=1):
-        out.append(
-            _row(
-                f"cor.fminusone.n{n}",
-                loc,
-                cell,
-                kurepa_poly(n).eval(-1),
-                note="printed as the sum 1-1+2-6" if n == 3 else "",
-            )
-        )
-    return out
+    return [
+        *_column("cor.fone", loc, (2, 4, 10, 34, 154), lambda n: kurepa_poly(n).eval(1), 1),
+        *_column("cor.fminusone", loc, (0, 2, 4, 20, -100), lambda n: kurepa_poly(n).eval(-1), 1,
+                 note={3: "printed as the sum 1-1+2-6"}),
+    ]
 
 
 def table8_rows() -> list[DiscrepancyReport]:
     """Evaluations of the factorial-coefficient polynomial at 1 and -1."""
     loc = "sec4.table8"
-    out = []
-    at_one = (1, 2, 4, 10, 34, 154, 874, 5914, 46234)
-    for n, cell in enumerate(at_one):
-        out.append(_row(f"table8.fone.n{n}", loc, cell, kurepa_poly(n).eval(1)))
-    at_minus = (0, 1, 0, 2, -4, 20, -100, 620, -4420)
-    for n, cell in enumerate(at_minus):
-        out.append(
-            _row(
-                f"table8.fminusone.n{n}",
-                loc,
-                cell,
-                kurepa_poly(n).eval(-1),
-                note="printed cells sit one index below the evaluation",
-            )
-        )
-    return out
+    return [
+        *_column("table8.fone", loc, (1, 2, 4, 10, 34, 154, 874, 5914, 46234),
+                 lambda n: kurepa_poly(n).eval(1)),
+        *_column("table8.fminusone", loc, (0, 1, 0, 2, -4, 20, -100, 620, -4420),
+                 lambda n: kurepa_poly(n).eval(-1),
+                 note="printed cells sit one index below the evaluation"),
+    ]
 
 
 def table9_rows() -> list[DiscrepancyReport]:
     """gcd columns of the alternating-sum table, both index readings."""
     loc = "sec4.table9"
-    out = [
-        _row(
-            "table9.n1",
-            loc,
-            1,
-            math.gcd(abs(alt_left_factorial(1)), left_factorial(1)),
-        )
+
+    def gcd_at(n):
+        return math.gcd(abs(alt_left_factorial(n)), left_factorial(n))
+
+    return [
+        compare("table9.n1", loc, 1, gcd_at(1)),
+        *check_table9(2, 10),
+        *_column("table9.next", loc, (1, 2, 2, 2, 2, 2, 2, 2, 2, 2), lambda n: gcd_at(n + 1), 1,
+                 note={1: "gcd(0, 2) is 2"}),
     ]
-    out.extend(check_table9(2, 10))
-    nxt = (1, 2, 2, 2, 2, 2, 2, 2, 2, 2)
-    for n, cell in enumerate(nxt, start=1):
-        g = math.gcd(abs(alt_left_factorial(n + 1)), left_factorial(n + 1))
-        out.append(
-            _row(
-                f"table9.next.n{n}",
-                loc,
-                cell,
-                g,
-                note="gcd(0, 2) is 2" if n == 1 else "",
-            )
-        )
-    return out
 
 
 def table10_rows() -> list[DiscrepancyReport]:
     """The altered-sequence table: shifts, differences, and small offsets."""
     loc = "sec4.table10"
     f = factorial_sum
-    rows = (
-        ("f", (0, 2, 4, 10, 34, 154, 874, 5914, 46234), lambda n: f(n), ""),
-        (
-            "f2n",
-            (0, 4, 34, 874, 46234, 4037914, 522956314, 93928268314, 22324392524314),
-            lambda n: f(2 * n),
-            "",
-        ),
-        ("fnext", (2, 4, 10, 34, 154, 874, 5914, 46234, 409114), lambda n: f(n + 1), ""),
-        ("fnext2", (4, 10, 34, 154, 874, 5914, 46234, 409114, 4037914), lambda n: f(n + 2), ""),
-        (
-            "diff2",
-            (2, 6, 24, 120, 720, 5040, 40320, 362880, 3628800),
-            lambda n: f(n + 2) - f(n + 1),
-            "",
-        ),
-        (
-            "diff1",
-            (1, 2, 6, 24, 120, 720, 5040, 40320, 362880),
-            lambda n: f(n + 1) - f(n),
-            "f_1 - f_0 = 2; the row label (n+1)! gives 1 at the origin",
-        ),
-        ("fplus1", (1, 3, 5, 11, 35, 155, 875, 5915, 46235), lambda n: f(n) + 1, ""),
-        ("a", (1, 1, 5, 9, 35, 153, 875, 5913, 46235), lambda n: f(n) + (-1) ** n, ""),
-        ("fplus2", (2, 4, 6, 12, 36, 156, 876, 5916, 46236), lambda n: f(n) + 2, ""),
-        ("fminus2", (-2, 0, 2, 8, 32, 152, 872, 5912, 46232), lambda n: f(n) - 2, ""),
-        (
-            "nextplus1",
-            (2, 3, 5, 11, 35, 155, 875, 5915, 46235),
-            lambda n: f(n + 1) + 1,
-            "printed row repeats f_n + 1 rather than advancing the index",
-        ),
-        (
-            "nextminus1",
-            (1, 3, 9, 33, 153, 873, 5913, 46233, 409113),
-            lambda n: f(n + 1) - 1,
-            "",
-        ),
-        (
-            "anext",
-            (1, 5, 9, 35, 153, 875, 5913, 46235, 409113),
-            lambda n: f(n + 1) + (-1) ** (n + 1),
-            "",
-        ),
-        (
-            "bnext",
-            (3, 3, 11, 33, 155, 873, 5915, 46233, 409115),
-            lambda n: f(n + 1) - (-1) ** (n + 1),
-            "",
-        ),
-        (
-            "nextplus2",
-            (4, 6, 12, 36, 156, 876, 5916, 46236, 409116),
-            lambda n: f(n + 1) + 2,
-            "",
-        ),
-        (
-            "nextminus2",
-            (0, 2, 8, 32, 152, 872, 5912, 46232, 409112),
-            lambda n: f(n + 1) - 2,
-            "",
-        ),
-    )
-    out = []
-    for key, cells, fn, note in rows:
-        for n, cell in enumerate(cells):
-            out.append(_row(f"table10.{key}.n{n}", loc, cell, fn(n), note=note))
-    # rows published only from n = 1 (the n = 0 cell prints NA)
-    fminus1 = (1, 3, 9, 33, 153, 873, 5913, 46233)
-    for n, cell in enumerate(fminus1, start=1):
-        out.append(_row(f"table10.fminus1.n{n}", loc, cell, f(n) - 1))
-    brow = (3, 3, 11, 33, 155, 873, 5915, 46233)
-    for n, cell in enumerate(brow, start=1):
-        out.append(_row(f"table10.b.n{n}", loc, cell, f(n) - (-1) ** n))
-    return out
+    return [
+        *_column("table10.f", loc, (0, 2, 4, 10, 34, 154, 874, 5914, 46234), f),
+        *_column("table10.f2n", loc,
+                 (0, 4, 34, 874, 46234, 4037914, 522956314, 93928268314, 22324392524314),
+                 lambda n: f(2 * n)),
+        *_column("table10.fnext", loc, (2, 4, 10, 34, 154, 874, 5914, 46234, 409114),
+                 lambda n: f(n + 1)),
+        *_column("table10.fnext2", loc, (4, 10, 34, 154, 874, 5914, 46234, 409114, 4037914),
+                 lambda n: f(n + 2)),
+        *_column("table10.diff2", loc, (2, 6, 24, 120, 720, 5040, 40320, 362880, 3628800),
+                 lambda n: f(n + 2) - f(n + 1)),
+        *_column("table10.diff1", loc, (1, 2, 6, 24, 120, 720, 5040, 40320, 362880),
+                 lambda n: f(n + 1) - f(n),
+                 note="f_1 - f_0 = 2; the row label (n+1)! gives 1 at the origin"),
+        *_column("table10.fplus1", loc, (1, 3, 5, 11, 35, 155, 875, 5915, 46235),
+                 lambda n: f(n) + 1),
+        *_column("table10.a", loc, (1, 1, 5, 9, 35, 153, 875, 5913, 46235),
+                 lambda n: f(n) + (-1) ** n),
+        *_column("table10.fplus2", loc, (2, 4, 6, 12, 36, 156, 876, 5916, 46236),
+                 lambda n: f(n) + 2),
+        *_column("table10.fminus2", loc, (-2, 0, 2, 8, 32, 152, 872, 5912, 46232),
+                 lambda n: f(n) - 2),
+        *_column("table10.nextplus1", loc, (2, 3, 5, 11, 35, 155, 875, 5915, 46235),
+                 lambda n: f(n + 1) + 1,
+                 note="printed row repeats f_n + 1 rather than advancing the index"),
+        *_column("table10.nextminus1", loc, (1, 3, 9, 33, 153, 873, 5913, 46233, 409113),
+                 lambda n: f(n + 1) - 1),
+        *_column("table10.anext", loc, (1, 5, 9, 35, 153, 875, 5913, 46235, 409113),
+                 lambda n: f(n + 1) + (-1) ** (n + 1)),
+        *_column("table10.bnext", loc, (3, 3, 11, 33, 155, 873, 5915, 46233, 409115),
+                 lambda n: f(n + 1) - (-1) ** (n + 1)),
+        *_column("table10.nextplus2", loc, (4, 6, 12, 36, 156, 876, 5916, 46236, 409116),
+                 lambda n: f(n + 1) + 2),
+        *_column("table10.nextminus2", loc, (0, 2, 8, 32, 152, 872, 5912, 46232, 409112),
+                 lambda n: f(n + 1) - 2),
+        # rows published only from n = 1 (the n = 0 cell prints NA)
+        *_column("table10.fminus1", loc, (1, 3, 9, 33, 153, 873, 5913, 46233),
+                 lambda n: f(n) - 1, 1),
+        *_column("table10.b", loc, (3, 3, 11, 33, 155, 873, 5915, 46233),
+                 lambda n: f(n) - (-1) ** n, 1),
+    ]
 
 
 def fourpart_rows() -> list[DiscrepancyReport]:
@@ -557,25 +394,16 @@ def fourpart_rows() -> list[DiscrepancyReport]:
     f = factorial_sum
     out = []
     for n in range(11):
-        out.append(_row(f"fourpart.p1.n{n}", loc, 2, math.gcd(f(n + 1), f(n))))
-        out.append(_row(f"fourpart.p2.n{n}", loc, 2, math.gcd(f(n + 2), f(n + 1))))
+        out.append(compare(f"fourpart.p1.n{n}", loc, 2, math.gcd(f(n + 1), f(n))))
+        out.append(compare(f"fourpart.p2.n{n}", loc, 2, math.gcd(f(n + 2), f(n + 1))))
         g1 = math.gcd(f(n), f(n + 1) - f(n))
         g2 = math.gcd(f(n), factorial(n + 1))
-        out.append(
-            _row(
-                f"fourpart.p3.n{n}",
-                loc,
-                "2_2",
-                f"{g1}_{g2}",
-                note="f_1 - f_0 = 2 while 1! = 1; the chain splits at the origin"
-                if n == 0
-                else "",
-            )
-        )
+        note = "f_1 - f_0 = 2 while 1! = 1; the chain splits at the origin" if n == 0 else ""
+        out.append(compare(f"fourpart.p3.n{n}", loc, "2_2", f"{g1}_{g2}", note))
         window = f(n)
         for r in range(1, 4):
             window = math.gcd(window, f(n + r))
-        out.append(_row(f"fourpart.p4.n{n}", loc, 2, window))
+        out.append(compare(f"fourpart.p4.n{n}", loc, 2, window))
     return out
 
 
@@ -593,36 +421,24 @@ def altered_rows() -> list[DiscrepancyReport]:
             if math.gcd(f(n) + a, f(n + 1) + a) > 2
         ]
         if violations:
-            first_n, first_g = violations[0]
-            computed = f"exceeded_at_n{first_n}"
+            computed = f"exceeded_at_n{violations[0][0]}"
             note = "values above 2: " + ", ".join(
                 f"n={n} gcd={g}" for n, g in violations
             ) + f" (scan 1..{CONJECTURE_SCAN_MAX})"
         else:
             computed = "bounded_by_2"
             note = f"scan 1..{CONJECTURE_SCAN_MAX}"
-        out.append(
-            _row(f"conjecture.bound.a{a}", loc, "bounded_by_2", computed, note=note)
-        )
+        out.append(compare(f"conjecture.bound.a{a}", loc, "bounded_by_2", computed, note))
     return out
 
 
 def ab_rows() -> list[DiscrepancyReport]:
     """Parity-offset sequences: consecutive and paired gcd claims."""
-    out = check_ab_sequences(10)
-    for n in range(11):
-        f = factorial_sum(n)
-        g = math.gcd(f + 1, abs(f - 1))
-        out.append(
-            _row(
-                f"pmpair.gcd.n{n}",
-                "sec4.lemma4.39",
-                2 if n == 0 else 1,
-                g,
-                note="f_0 - 1 is -1; the pair gcd at the origin is 1" if n == 0 else "",
-            )
-        )
-    return out
+    return check_ab_sequences(10) + _column(
+        "pmpair.gcd", "sec4.lemma4.39", (2,) + (1,) * 10,
+        lambda n: math.gcd(factorial_sum(n) + 1, abs(factorial_sum(n) - 1)),
+        note={0: "f_0 - 1 is -1; the pair gcd at the origin is 1"},
+    )
 
 
 # ---------------------------------------------------------------- section 5
@@ -630,42 +446,16 @@ def ab_rows() -> list[DiscrepancyReport]:
 
 def kurepa_poly_rows() -> list[DiscrepancyReport]:
     """The polynomial definition list and the table that follows it."""
-    out = []
     printed = ("1", "1_1", "1_1_2", "1_1_2_6", "1_1_2_6_24", "1_1_2_6_24_120",
                "1_1_2_6_24_120_720", "1_1_2_6_24_120_720_5040")
-    for n, cs in enumerate(printed):
-        per_def = "0" if n == 0 else _poly(kurepa_poly(n - 1).coeffs)
-        out.append(
-            _row(
-                f"deflist.kpoly.n{n}",
-                "sec5.definition",
-                cs,
-                per_def,
-                note="printed list runs one index past the stated upper limit n-1",
-            )
-        )
     loc = "sec5.table11"
-    for n in range(1, 7):
-        out.append(
-            _row(
-                f"table11.kpoly.n{n}",
-                loc,
-                printed[n - 1],
-                _poly(kurepa_poly(n - 1).coeffs),
-            )
-        )
-    fp = ("0", "1_1", "1_1_2", "1_1_2_6", "1_1_2_6_24", "1_1_2_6_24_120")
-    for n, cs in enumerate(fp):
-        out.append(
-            _row(
-                f"table11.fpoly.n{n}",
-                loc,
-                cs,
-                _poly(kurepa_poly(n).coeffs),
-                note="the constant term 0! never vanishes" if n == 0 else "",
-            )
-        )
-    return out
+    return [
+        *_column("deflist.kpoly", "sec5.definition", printed,
+                 lambda n: "0" if n == 0 else _kpoly(n - 1), cell=str,
+                 note="printed list runs one index past the stated upper limit n-1"),
+        *_column("table11.kpoly", loc, printed[:6], lambda n: _kpoly(n - 1), 1, cell=str),
+        *_column("table11.fpoly", loc, _FPOLY, _kpoly, note=_FPOLY_NOTE, cell=str),
+    ]
 
 
 def log_rows() -> list[DiscrepancyReport]:
@@ -698,109 +488,50 @@ def log_rows() -> list[DiscrepancyReport]:
 def table12_rows() -> list[DiscrepancyReport]:
     """Touchard polynomials and the normally ordered coefficient vectors."""
     loc = "sec6.table12"
-    out = []
     touch = ((1,), (0, 1), (0, 1, 1), (0, 1, 3, 1), (0, 1, 7, 6, 1))
-    for n, cs in enumerate(touch):
-        out.append(
-            _row(
-                f"table12.touchard.n{n}", loc, _poly(cs), _poly(touchard_poly(n).coeffs)
-            )
-        )
-    printed = ("1", "1_1", "0_1_1", "0_1_3_1", "0_1_7_6_1")
-    for n, cs in enumerate(printed):
-        if n == 0:
-            computed = "1"
-        else:
-            exp = normal_ordering(n)
-            computed = "_".join(
-                ["0"] + [str(exp.coefficient(k)) for k in range(1, n + 1)]
-            )
-        out.append(
-            _row(
-                f"table12.ordering.n{n}",
-                loc,
-                cs,
-                computed,
-                note="printed operator form carries a constant 1; the k=0 weight is 0"
-                if n == 1
-                else "",
-            )
-        )
-    return out
+    return [
+        *_column("table12.touchard", loc, touch, lambda n: touchard_poly(n).coeffs, cell=_poly),
+        *_column("table12.ordering", loc, ("1", "1_1", "0_1_1", "0_1_3_1", "0_1_7_6_1"),
+                 lambda n: _weights(normal_ordering, n), cell=str,
+                 note={1: "printed operator form carries a constant 1; the k=0 weight is 0"}),
+    ]
 
 
 def table13_rows() -> list[DiscrepancyReport]:
     """Signed ordering vectors against the positive-leading convention."""
-    loc = "sec6.table13"
-    printed = ("1", "0_-1", "0_-1_1", "0_-1_3_-1", "0_-1_7_-6_1")
-    out = []
-    for n, cs in enumerate(printed):
-        if n == 0:
-            computed = "1"
-        else:
-            exp = antinormal_ordering(n)
-            computed = "_".join(
-                ["0"] + [str(exp.coefficient(k)) for k in range(1, n + 1)]
-            )
-        out.append(
-            _row(
-                f"table13.invordering.n{n}",
-                loc,
-                cs,
-                computed,
-                note="printed signs follow (-1)^k; odd orders differ by a global sign"
-                if n % 2 == 1
-                else "",
-            )
-        )
-    return out
+    sign = "printed signs follow (-1)^k; odd orders differ by a global sign"
+    return _column("table13.invordering", "sec6.table13",
+                   ("1", "0_-1", "0_-1_1", "0_-1_3_-1", "0_-1_7_-6_1"),
+                   lambda n: _weights(antinormal_ordering, n), note={1: sign, 3: sign}, cell=str)
 
 
 def kad_rows() -> list[DiscrepancyReport]:
     """The grouped signed aggregate printed for the alternating sum at n = 5."""
     cb = complementary_bell
     grouped = cb(0) + cb(2) - 2 * cb(3) - 52 * (cb(5) + 20 * cb(4))
-    return [
-        _row(
-            "sec6.kad.aseq5",
-            "sec6.kad",
-            -alt_kurepa_sequence_sum(5),
-            grouped,
-            note="the grouped line weights invbell_4 by 52*20; the section 3 "
-            "reading of the same aggregate is kept as a fixture",
-        )
-    ]
+    note = ("the grouped line weights invbell_4 by 52*20; the section 3 "
+            "reading of the same aggregate is kept as a fixture")
+    return [compare("sec6.kad.aseq5", "sec6.kad", -alt_kurepa_sequence_sum(5), grouped, note)]
 
 
 def fermi_rows() -> list[DiscrepancyReport]:
     """Shifted-exponent values and their printed aggregate through n = 8."""
     loc = "sec6.fermi"
-    out = []
-    cells = (1, 2, 5, 15, 52, 203, 877)
-    for n, cell in enumerate(cells, start=1):
-        out.append(_row(f"fermi.n{n}", loc, _c(EScaled(cell, 2)), _c(fermi(n))))
     agg = fermi(1) + 8 * fermi(2) + 2 * fermi(3) + 56 * fermi(4) + fermi(5) + 4 * fermi(6)
-    out.append(
-        _row(
-            "sec6.fermiagg.kseq8",
-            loc,
-            _c(EScaled(kurepa_sequence_sum(8), 2)),
-            _c(agg),
-            note="printed coefficients reproduce the bell-basis proof sum 1731",
-        )
-    )
-    return out
+    return _column("fermi", loc, [EScaled(c, 2) for c in (1, 2, 5, 15, 52, 203, 877)], fermi, 1) + [
+        compare("sec6.fermiagg.kseq8", loc, _c(EScaled(kurepa_sequence_sum(8), 2)), _c(agg),
+                "printed coefficients reproduce the bell-basis proof sum 1731")
+    ]
 
 
 def gas_rows() -> list[DiscrepancyReport]:
     """Two-column gas table: the same coefficients under e and e^2."""
     loc = "sec6.lemma6.12"
     out = []
-    cells = (1, 1, 2, 5)
-    for n, cell in enumerate(cells):
-        out.append(_row(f"gas.coeff.n{n}", loc, cell, bell(n)))
-        out.append(_row(f"gas.boson.n{n}", loc, _c(EScaled(cell, 1)), _c(dobinski(n))))
-        out.append(_row(f"gas.fermion.n{n}", loc, _c(EScaled(cell, 2)), _c(fermi(n))))
+    for n, cell in enumerate((1, 1, 2, 5)):
+        out.append(compare(f"gas.coeff.n{n}", loc, cell, bell(n)))
+        out.append(compare(f"gas.boson.n{n}", loc, _c(EScaled(cell, 1)), _c(dobinski(n))))
+        out.append(compare(f"gas.fermion.n{n}", loc, _c(EScaled(cell, 2)), _c(fermi(n))))
     return out
 
 

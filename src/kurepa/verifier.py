@@ -16,12 +16,11 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
+from .discrepancy import DiscrepancyReport, compare
 from .sequences import bell_rows
 
 CHECKPOINT_VERSION = 1
@@ -350,6 +349,9 @@ def run_search(
             if block_limit is not None and commits >= block_limit:
                 stopped = True
     else:
+        # the pool import costs about 20 ms, so only a parallel run pays it
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         pending: dict[int, tuple[list[int], list[int]]] = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures: dict[object, int] = {}
@@ -408,13 +410,10 @@ def check_bell_congruence(p: int) -> DiscrepancyReport:
     """!p = Bell_{p-1} - 1 (mod p) for prime p, checked by direct residue."""
     if p < 2:
         raise ValueError("check_bell_congruence requires p >= 2")
-    lhs = left_factorial_mod(p)
-    rhs = (bell_mod(p - 1, p) - 1) % p
-    return DiscrepancyReport(
-        claim_id=f"congruence.bell.p{p}",
-        location="sec1.congruence",
-        claimed=str(rhs),
-        computed=str(lhs),
-        status=MATCH if lhs == rhs else MISMATCH,
-        note="claimed side is the Bell residue, computed side the direct left factorial residue",
+    return compare(
+        f"congruence.bell.p{p}",
+        "sec1.congruence",
+        (bell_mod(p - 1, p) - 1) % p,
+        left_factorial_mod(p),
+        "claimed side is the Bell residue, computed side the direct left factorial residue",
     )

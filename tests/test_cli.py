@@ -288,13 +288,14 @@ def test_console_script_help():
         assert name in proc.stdout, name
 
 
-def test_cli_import_does_not_load_numpy():
+@pytest.mark.parametrize("module", ["numpy", "concurrent.futures", "multiprocessing"])
+def test_cli_import_does_not_load(module):
     import kurepa
 
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
     env = dict(os.environ, PYTHONPATH=src_dir)
     proc = subprocess.run(
-        [sys.executable, "-c", "import kurepa.cli, sys; assert 'numpy' not in sys.modules"],
+        [sys.executable, "-c", f"import kurepa.cli, sys; assert {module!r} not in sys.modules"],
         capture_output=True,
         text=True,
         env=env,

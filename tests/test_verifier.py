@@ -276,7 +276,8 @@ def test_search_checkpoint_file_is_schema_valid(tmp_path):
     )
     cp = str(tmp_path / "cp.json")
     run_search(3, 4_000, checkpoint_path=cp, histogram=True)
-    jsonschema.validate(json.load(open(cp)), schema)
+    with open(cp) as fh:
+        jsonschema.validate(json.load(fh), schema)
 
 
 def test_to_json_round_trips():
