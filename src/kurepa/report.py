@@ -144,9 +144,10 @@ def table1_rows() -> list[DiscrepancyReport]:
     bells = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
     return [
         *_column("table1.nfact", loc, (1, 1, 2, 6, 24, 120, 720, 5040, 40320), factorial),
-        *_column("table1.kurepa", loc, (1, 2, 4, 10, 34, 154, 874, 5914), left_factorial, 1),
-        *_column("table1.alt", loc, (1, 0, 2, -4, 20, -100, 620, -4420), alt_left_factorial, 1,
-                 note="row header reads (-1)^n !n; cells follow the alternating sum"),
+        *_column("table1.kurepa", loc, (1, 2, 4, 10, 34, 154, 874, 5914), left_factorial,
+                 start=1),
+        *_column("table1.alt", loc, (1, 0, 2, -4, 20, -100, 620, -4420), alt_left_factorial,
+                 start=1, note="row header reads (-1)^n !n; cells follow the alternating sum"),
         *_column("table1.diff", loc, (1, 0, 0, 2, 14, 86, 566, 4166, 34406),
                  lambda n: factorial(n) - _lf0(n)),
         *_column("table1.sum", loc, (1, 2, 4, 10, 34, 154, 874, 5914, 46234),
@@ -155,11 +156,11 @@ def table1_rows() -> list[DiscrepancyReport]:
                  lambda n: Fraction(factorial(n) - _lf0(n), 2),
                  note="row header reads (!n - n!)/2; cells follow (n! - !n)/2"),
         *_column("table1.r", loc, (half, 1, 2, 5, 17, 77, 437, 2957),
-                 lambda n: Fraction(left_factorial(n), 2), 1),
+                 lambda n: Fraction(left_factorial(n), 2), start=1),
         *_column("table1.gcd", loc, (1, 1, 2, 2, 2, 2, 2, 2, 2),
                  lambda n: math.gcd(_lf0(n), factorial(n))),
         *_column("table1.twor", loc, (1, 2, 4, 10, 34, 154, 874, 5914),
-                 lambda n: 2 * Fraction(left_factorial(n), 2), 1),
+                 lambda n: 2 * Fraction(left_factorial(n), 2), start=1),
         *_column("table1.der", loc, (1, 0, 1, 2, 9, 44, 265, 1854, 14833), derangement),
         *_column("table1.bell", loc, bells, bell),
         *_column("table1.dob", loc, [EScaled(c, 1) for c in bells], dobinski),
@@ -183,7 +184,7 @@ def foundation_rows() -> list[DiscrepancyReport]:
         for n in (1, 5, 8, 12)
     ]
     inv = [EScaled(c, -1) for c in (-1, 0, 1, 1, -2, -9, -9)]
-    return sums + _column("sec2.invdob", "sec2.invdob", inv, inv_dobinski, 1,
+    return sums + _column("sec2.invdob", "sec2.invdob", inv, inv_dobinski, start=1,
                           note={2: "zero stores no e power"})
 
 
@@ -293,13 +294,13 @@ def equivalence_rows() -> list[DiscrepancyReport]:
                  (half, 1, 3, 12, 60, 360, 2520, 20160, 181440, 1814400, 19958400),
                  lambda n: Fraction(factorial(n + 1), 2), note={10: "printed in scientific form"}),
         *_column("thm4.17.f", loc, (2, 4, 10, 34, 154, 874, 5914, 46234, 409114, 4037914),
-                 factorial_sum, 1),
+                 factorial_sum, start=1),
         *_column("thm4.17.r", loc, (1, 2, 5, 17, 77, 437, 2957, 23117, 204557, 2018957),
-                 half_left_factorial, 1),
+                 half_left_factorial, start=1),
         *_column("thm4.17.gcdrt", loc, (1,) * 10,
-                 lambda n: math.gcd(half_left_factorial(n), factorial(n + 1) // 2), 1),
+                 lambda n: math.gcd(half_left_factorial(n), factorial(n + 1) // 2), start=1),
         *_column("thm4.17.binary", loc, (2,) * 9,
-                 lambda n: gcd_stein(factorial_sum(n), factorial(n + 1)).result, 2),
+                 lambda n: gcd_stein(factorial_sum(n), factorial(n + 1)).result, start=2),
         *(check_equivalence_chain(n) for n in range(1, 11)),
     ]
 
@@ -308,9 +309,10 @@ def corollary_poly_rows() -> list[DiscrepancyReport]:
     """Polynomial evaluations at 1 and -1 from the two worked corollaries."""
     loc = "sec4.corollary"
     return [
-        *_column("cor.fone", loc, (2, 4, 10, 34, 154), lambda n: kurepa_poly(n).eval(1), 1),
-        *_column("cor.fminusone", loc, (0, 2, 4, 20, -100), lambda n: kurepa_poly(n).eval(-1), 1,
-                 note={3: "printed as the sum 1-1+2-6"}),
+        *_column("cor.fone", loc, (2, 4, 10, 34, 154), lambda n: kurepa_poly(n).eval(1),
+                 start=1),
+        *_column("cor.fminusone", loc, (0, 2, 4, 20, -100), lambda n: kurepa_poly(n).eval(-1),
+                 start=1, note={3: "printed as the sum 1-1+2-6"}),
     ]
 
 
@@ -336,8 +338,8 @@ def table9_rows() -> list[DiscrepancyReport]:
     return [
         compare("table9.n1", loc, 1, gcd_at(1)),
         *check_table9(2, 10),
-        *_column("table9.next", loc, (1, 2, 2, 2, 2, 2, 2, 2, 2, 2), lambda n: gcd_at(n + 1), 1,
-                 note={1: "gcd(0, 2) is 2"}),
+        *_column("table9.next", loc, (1, 2, 2, 2, 2, 2, 2, 2, 2, 2), lambda n: gcd_at(n + 1),
+                 start=1, note={1: "gcd(0, 2) is 2"}),
     ]
 
 
@@ -382,9 +384,9 @@ def table10_rows() -> list[DiscrepancyReport]:
                  lambda n: f(n + 1) - 2),
         # rows published only from n = 1 (the n = 0 cell prints NA)
         *_column("table10.fminus1", loc, (1, 3, 9, 33, 153, 873, 5913, 46233),
-                 lambda n: f(n) - 1, 1),
+                 lambda n: f(n) - 1, start=1),
         *_column("table10.b", loc, (3, 3, 11, 33, 155, 873, 5915, 46233),
-                 lambda n: f(n) - (-1) ** n, 1),
+                 lambda n: f(n) - (-1) ** n, start=1),
     ]
 
 
@@ -453,7 +455,7 @@ def kurepa_poly_rows() -> list[DiscrepancyReport]:
         *_column("deflist.kpoly", "sec5.definition", printed,
                  lambda n: "0" if n == 0 else _kpoly(n - 1), cell=str,
                  note="printed list runs one index past the stated upper limit n-1"),
-        *_column("table11.kpoly", loc, printed[:6], lambda n: _kpoly(n - 1), 1, cell=str),
+        *_column("table11.kpoly", loc, printed[:6], lambda n: _kpoly(n - 1), start=1, cell=str),
         *_column("table11.fpoly", loc, _FPOLY, _kpoly, note=_FPOLY_NOTE, cell=str),
     ]
 
@@ -518,7 +520,8 @@ def fermi_rows() -> list[DiscrepancyReport]:
     """Shifted-exponent values and their printed aggregate through n = 8."""
     loc = "sec6.fermi"
     agg = fermi(1) + 8 * fermi(2) + 2 * fermi(3) + 56 * fermi(4) + fermi(5) + 4 * fermi(6)
-    return _column("fermi", loc, [EScaled(c, 2) for c in (1, 2, 5, 15, 52, 203, 877)], fermi, 1) + [
+    cells = [EScaled(c, 2) for c in (1, 2, 5, 15, 52, 203, 877)]
+    return _column("fermi", loc, cells, fermi, start=1) + [
         compare("sec6.fermiagg.kseq8", loc, _c(EScaled(kurepa_sequence_sum(8), 2)), _c(agg),
                 "printed coefficients reproduce the bell-basis proof sum 1731")
     ]
