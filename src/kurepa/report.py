@@ -217,10 +217,11 @@ def decomposition_rows() -> list[DiscrepancyReport]:
     """Every published decomposition row from the bundled fixture file."""
     out = []
     for fx in load_fixtures():
-        location = next(
-            (loc for prefix, loc in _FIXTURE_LOCATIONS if fx.label.startswith(prefix + ".")),
-            "adhoc",
-        )
+        location = "adhoc"
+        for prefix, loc in _FIXTURE_LOCATIONS:
+            if fx.label.startswith(prefix + "."):
+                location = loc
+                break
         row = verify_decomposition(
             fx.value, fx.terms, fx.basis, claim_id=fx.label, location=location
         )
@@ -423,7 +424,8 @@ def altered_rows() -> list[DiscrepancyReport]:
             if math.gcd(f(n) + a, f(n + 1) + a) > 2
         ]
         if violations:
-            computed = f"exceeded_at_n{violations[0][0]}"
+            first_n, first_g = violations[0]
+            computed = f"exceeded_at_n{first_n}"
             note = "values above 2: " + ", ".join(
                 f"n={n} gcd={g}" for n, g in violations
             ) + f" (scan 1..{CONJECTURE_SCAN_MAX})"
