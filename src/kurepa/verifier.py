@@ -1,10 +1,13 @@
 """Residue search for left factorial counterexamples over prime ranges.
 
 A counterexample is an odd prime p with !p = 0 (mod p). The search sieves
-primes in [lo, hi), cuts them into blocks of consecutive primes, computes
-each block's residues with one big-integer fold modulo the product of its
-primes, and commits results block by block behind a contiguous frontier
-so a checkpoint always describes a clean prefix.
+primes in [lo, hi), cuts them into blocks of consecutive primes, and
+computes each block's residues with one big-integer fold modulo the
+product of its primes. _block_results yields the blocks' results in block
+order, in process or from a pool of workers, and one loop in run_search
+commits them, so a checkpoint always describes a clean prefix. Waiting on
+the oldest block leaves no worker idle, because a later block folds
+further and so finishes later.
 Reports are canonical: the same range yields byte-identical output no
 matter the worker count or how often the run was interrupted.
 """
@@ -26,6 +29,7 @@ from .sequences import bell_rows
 CHECKPOINT_VERSION = 1
 HISTOGRAM_BUCKETS = 256
 DEFAULT_LANES = 4096
+CHECKPOINT_INTERVAL = 30.0
 
 _CHECKPOINT_KEYS = (
     "version",
@@ -221,13 +225,13 @@ def canonical_report(ck: SearchCheckpoint) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _block_worker(idx: int, primes: list[int]) -> tuple[int, list[int], list[int]]:
+def _block_worker(primes: list[int]) -> tuple[list[int], list[int]]:
     residues = block_residues(primes)
     cex = [p for p, r in zip(primes, residues) if r == 0 and p > 2]
     hist = [0] * HISTOGRAM_BUCKETS
     for p, r in zip(primes, residues):
         hist[HISTOGRAM_BUCKETS * r // p] += 1
-    return idx, cex, hist
+    return cex, hist
 
 
 def _chunked(it: Iterator[int], size: int) -> Iterator[list[int]]:
@@ -241,22 +245,56 @@ def _chunked(it: Iterator[int], size: int) -> Iterator[list[int]]:
         yield chunk
 
 
+def _block_results(
+    blocks: Iterator[list[int]], workers: int
+) -> Iterator[tuple[list[int], tuple[list[int], list[int]]]]:
+    """Yield (block, _block_worker(block)) in block order.
+
+    One worker runs each block in process. Several workers share a pool
+    with a FIFO window of at most 2 * workers submitted blocks, and the
+    oldest block is always the one awaited. That costs no parallelism: the
+    pool starts blocks first in, first out, and each block folds further
+    than the one before it, so blocks finish in submission order anyway.
+    Only a short last block can finish early, and then nothing is left to
+    submit. Closing the generator early cancels the queued blocks and
+    shuts the pool down.
+    """
+    if workers == 1:
+        for primes in blocks:
+            yield primes, _block_worker(primes)
+        return
+    # the pool import costs about 20 ms, so only a parallel run pays it
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        window = []  # (block, future) pairs, oldest first
+        for primes in blocks:
+            window.append((primes, pool.submit(_block_worker, primes)))
+            if len(window) == 2 * workers:
+                oldest, future = window.pop(0)
+                yield oldest, future.result()
+        for primes, future in window:
+            yield primes, future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_search(
     lo: int,
     hi: int,
     workers: int = 1,
     histogram: bool = False,
     checkpoint_path: str | None = None,
-    checkpoint_interval: float = 30.0,
     block_limit: int | None = None,
     lanes: int = DEFAULT_LANES,
 ) -> SearchCheckpoint:
     """Search all primes in [lo, hi) for left factorial counterexamples.
 
-    Results commit strictly in block order even when workers finish out of
-    order, so last_completed always bounds a fully searched prefix. With
-    checkpoint_path the state is persisted atomically at least every
-    checkpoint_interval seconds and once more on exit; an existing file for
+    One loop commits the blocks' results in block order, whatever the
+    worker count, so last_completed always bounds a fully searched prefix.
+    With checkpoint_path the state is persisted atomically at least every
+    CHECKPOINT_INTERVAL seconds and once more on exit; an existing file for
     the same range is resumed. block_limit stops the run early after that
     many committed blocks (a test hook standing in for a killed process).
     lanes is the number of primes per block, the unit of work handed to a
@@ -290,101 +328,25 @@ def run_search(
             last_completed=lo,
             histogram=[0] * HISTOGRAM_BUCKETS if histogram else None,
         )
+        if checkpoint_path is not None:
+            save_checkpoint(ck, checkpoint_path)
 
-    started = time.monotonic()
+    started = last_save = time.monotonic()
     base_wall = ck.wall_seconds
-    last_save = started
-
-    block_iter = _chunked(sieve_primes(ck.last_completed, hi), lanes)
-    next_submit = 0
-    exhausted = False
-    tops: dict[int, int] = {}
-
-    def take_block() -> tuple[int, list[int]] | None:
-        nonlocal next_submit, exhausted
-        if exhausted:
-            return None
-        primes = next(block_iter, None)
-        if primes is None:
-            exhausted = True
-            return None
-        idx = next_submit
-        next_submit += 1
-        tops[idx] = primes[-1]
-        return idx, primes
-
-    next_commit = 0
-    commits = 0
-    stopped = False
-
-    def commit(idx: int, cex: list[int], block_hist: list[int]) -> None:
-        nonlocal commits
+    blocks = _chunked(sieve_primes(ck.last_completed, hi), lanes)
+    for commits, (primes, (cex, block_hist)) in enumerate(_block_results(blocks, workers), 1):
         ck.counterexamples.extend(cex)
         if ck.histogram is not None:
             ck.histogram = [a + b for a, b in zip(ck.histogram, block_hist)]
-        ck.last_completed = tops.pop(idx) + 1
-        commits += 1
-
-    def maybe_save() -> None:
-        nonlocal last_save
+        ck.last_completed = primes[-1] + 1
         now = time.monotonic()
-        if checkpoint_path is not None and now - last_save >= checkpoint_interval:
+        if checkpoint_path is not None and now - last_save >= CHECKPOINT_INTERVAL:
             ck.wall_seconds = base_wall + (now - started)
             save_checkpoint(ck, checkpoint_path)
             last_save = now
-
-    if checkpoint_path is not None and not os.path.exists(checkpoint_path):
-        save_checkpoint(ck, checkpoint_path)
-
-    if workers == 1:
-        while not stopped:
-            item = take_block()
-            if item is None:
-                break
-            idx, primes = item
-            _, cex, block_hist = _block_worker(idx, primes)
-            commit(idx, cex, block_hist)
-            next_commit = idx + 1
-            maybe_save()
-            if block_limit is not None and commits >= block_limit:
-                stopped = True
+        if block_limit is not None and commits >= block_limit:
+            break  # dropping _block_results closes it, which shuts a pool down
     else:
-        # the pool import costs about 20 ms, so only a parallel run pays it
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-        pending: dict[int, tuple[list[int], list[int]]] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: dict[object, int] = {}
-
-            def top_up() -> None:
-                while len(futures) < 2 * workers:
-                    item = take_block()
-                    if item is None:
-                        return
-                    idx, primes = item
-                    futures[pool.submit(_block_worker, idx, primes)] = idx
-
-            top_up()
-            while futures and not stopped:
-                done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                for fut in done:
-                    idx = futures.pop(fut)
-                    _, cex, block_hist = fut.result()
-                    pending[idx] = (cex, block_hist)
-                while next_commit in pending:
-                    cex, block_hist = pending.pop(next_commit)
-                    commit(next_commit, cex, block_hist)
-                    next_commit += 1
-                    if block_limit is not None and commits >= block_limit:
-                        stopped = True
-                        break
-                maybe_save()
-                if not stopped:
-                    top_up()
-            if stopped:
-                pool.shutdown(cancel_futures=True)
-
-    if not stopped and exhausted and next_commit == next_submit:
         ck.finished = True
         ck.last_completed = hi
     ck.wall_seconds = base_wall + (time.monotonic() - started)

@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kurepa import verifier
 from kurepa.sequences import bell, left_factorial
 from kurepa.verifier import (
+    DEFAULT_LANES,
     CheckpointFormatError,
     CheckpointMismatchError,
     HISTOGRAM_BUCKETS,
@@ -225,16 +228,22 @@ GOLDEN_REPORTS = {
 }
 
 
+# lanes=64 cuts (3, 30_000) into 51 blocks, more than the 2-worker pool's
+# window of 4, so the window refills as it commits
+@pytest.mark.parametrize("lanes", [DEFAULT_LANES, 64])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("lo, hi", sorted(GOLDEN_REPORTS))
-def test_canonical_report_golden(lo, hi, workers):
-    report = canonical_report(run_search(lo, hi, workers=workers, histogram=True))
+def test_canonical_report_golden(lo, hi, workers, lanes):
+    report = canonical_report(run_search(lo, hi, workers=workers, histogram=True, lanes=lanes))
     assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_REPORTS[lo, hi]
 
 
-def test_kill_and_resume_reproduces_straight_run(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kill_and_resume_reproduces_straight_run(tmp_path, workers):
     cp = str(tmp_path / "cp.json")
-    partial = run_search(3, 30_000, lanes=256, checkpoint_path=cp, block_limit=3)
+    partial = run_search(3, 30_000, workers=workers, lanes=256, checkpoint_path=cp, block_limit=3)
+    # an early stop shuts the pool down before run_search returns
+    assert multiprocessing.active_children() == []
     assert not partial.finished
     assert 3 < partial.last_completed < 30_000
     resumed = run_search(3, 30_000, lanes=256, checkpoint_path=cp)
@@ -243,6 +252,24 @@ def test_kill_and_resume_reproduces_straight_run(tmp_path):
     assert resumed.finished
     # wall clock keeps accumulating across the resume
     assert resumed.wall_seconds >= partial.wall_seconds
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_periodic_checkpoints_describe_a_growing_prefix(tmp_path, monkeypatch, workers):
+    saves = []
+
+    def reread(ck, path):
+        save_checkpoint(ck, path)
+        saves.append(load_checkpoint(path))
+
+    monkeypatch.setattr(verifier, "CHECKPOINT_INTERVAL", 0.0)
+    monkeypatch.setattr(verifier, "save_checkpoint", reread)
+    run_search(3, 30_000, workers=workers, lanes=256, checkpoint_path=str(tmp_path / "cp.json"))
+    # the first save, one after each of the 13 blocks, and the last
+    assert len(saves) == 15
+    frontier = [ck.last_completed for ck in saves]
+    assert frontier == sorted(frontier)
+    assert [ck.finished for ck in saves] == [False] * 14 + [True]
 
 
 def test_finished_checkpoint_short_circuits(tmp_path):
