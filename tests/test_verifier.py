@@ -229,10 +229,20 @@ GOLDEN_REPORTS = {
 
 
 # lanes=64 cuts (3, 30_000) into 51 blocks, more than the 2-worker pool's
-# window of 4, so the window refills as it commits
-@pytest.mark.parametrize("lanes", [DEFAULT_LANES, 64])
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("lo, hi", sorted(GOLDEN_REPORTS))
+# window of 4, so the window refills as it commits; the DEFAULT_LANES cases
+# keep their ids from before lanes was a parameter
+@pytest.mark.parametrize(
+    "lo, hi, workers, lanes",
+    [
+        pytest.param(
+            lo, hi, workers, lanes,
+            id=f"{lo}-{hi}-{workers}" + ("" if lanes == DEFAULT_LANES else f"-{lanes}"),
+        )
+        for lo, hi in sorted(GOLDEN_REPORTS)
+        for workers in (1, 2)
+        for lanes in (DEFAULT_LANES, 64)
+    ],
+)
 def test_canonical_report_golden(lo, hi, workers, lanes):
     report = canonical_report(run_search(lo, hi, workers=workers, histogram=True, lanes=lanes))
     assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_REPORTS[lo, hi]
