@@ -4,61 +4,61 @@ Everything integer-valued is computed with arbitrary-precision ints,
 values on the e scale keep their rational coefficient and integer e power,
 and the few genuinely real-valued checks run through mpmath at a declared
 precision. Published claims are re-checked, never assumed: see report.
+
+Importing the package loads none of its modules: each name in __all__ is
+imported from its module on first access, so `python -m kurepa` pays only
+for the layers a subcommand runs, and mpmath is imported by the functions
+that evaluate reals, on their first call.
 """
 
-from .decomp import (
-    Basis,
-    Decomposition,
-    decompose_sequence,
-    greedy_bell_decomposition,
-    kurepa_sequence_sum,
-)
-from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
-from .efactor import EScaled, dobinski, fermi, inv_dobinski
-from .gcdlab import gcd_euclid, gcd_stein
-from .report import full_report, mismatches
-from .sequences import (
-    bell,
-    complementary_bell,
-    derangement,
-    factorial,
-    factorial_sum,
-    half_left_factorial,
-    kurepa_poly,
-    left_factorial,
-    stirling2,
-)
-from .verifier import left_factorial_mod, run_search, sieve_primes
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Basis",
-    "Decomposition",
-    "DiscrepancyReport",
-    "EScaled",
-    "MATCH",
-    "MISMATCH",
-    "bell",
-    "complementary_bell",
-    "decompose_sequence",
-    "derangement",
-    "dobinski",
-    "factorial",
-    "factorial_sum",
-    "fermi",
-    "full_report",
-    "gcd_euclid",
-    "gcd_stein",
-    "greedy_bell_decomposition",
-    "half_left_factorial",
-    "inv_dobinski",
-    "kurepa_poly",
-    "kurepa_sequence_sum",
-    "left_factorial",
-    "left_factorial_mod",
-    "mismatches",
-    "run_search",
-    "sieve_primes",
-    "stirling2",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    "Basis": "decomp",
+    "Decomposition": "decomp",
+    "decompose_sequence": "decomp",
+    "greedy_bell_decomposition": "decomp",
+    "kurepa_sequence_sum": "decomp",
+    "MATCH": "discrepancy",
+    "MISMATCH": "discrepancy",
+    "DiscrepancyReport": "discrepancy",
+    "EScaled": "efactor",
+    "dobinski": "efactor",
+    "fermi": "efactor",
+    "inv_dobinski": "efactor",
+    "gcd_euclid": "gcdlab",
+    "gcd_stein": "gcdlab",
+    "full_report": "report",
+    "mismatches": "report",
+    "bell": "sequences",
+    "complementary_bell": "sequences",
+    "derangement": "sequences",
+    "factorial": "sequences",
+    "factorial_sum": "sequences",
+    "half_left_factorial": "sequences",
+    "kurepa_poly": "sequences",
+    "left_factorial": "sequences",
+    "stirling2": "sequences",
+    "left_factorial_mod": "verifier",
+    "run_search": "verifier",
+    "sieve_primes": "verifier",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

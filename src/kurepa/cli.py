@@ -19,18 +19,10 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-from .decomp import greedy_bell_decomposition, log_left_factorial
+# SEQUENCES holds functions of sequences and efactor; every other layer is
+# imported by the builder that runs it, so a subcommand loads only its own
 from .discrepancy import MISMATCH
 from .efactor import EScaled, dobinski, fermi, format_significant
-from .gcdlab import scan_altered
-from .physics import (
-    antinormal_ordering,
-    debruijn_bound_check,
-    normal_ordering,
-    occupation,
-    planck_identity_gap,
-)
-from .report import DEBRUIJN_SAMPLE_N, PLANCK_SAMPLE_X, full_report
 from .sequences import (
     alt_left_factorial,
     bell,
@@ -42,7 +34,6 @@ from .sequences import (
     left_factorial,
     wagstaff,
 )
-from .verifier import canonical_report, run_search
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 10
@@ -179,6 +170,8 @@ def _build_seq(args, spec: OutputSpec) -> Table:
 
 
 def _build_verify(args, spec: OutputSpec) -> Table:
+    from .verifier import canonical_report, run_search
+
     if args.lo < 3:
         raise UsageError("lo must be at least 3")
     if args.hi <= args.lo:
@@ -212,6 +205,8 @@ def _build_verify(args, spec: OutputSpec) -> Table:
 
 
 def _build_report(args, spec: OutputSpec) -> Table:
+    from .report import full_report
+
     reports = full_report()
     return Table(
         command="report",
@@ -220,12 +215,16 @@ def _build_report(args, spec: OutputSpec) -> Table:
         summary={
             "total": len(reports),
             "mismatches": sum(1 for r in reports if r.status == MISMATCH),
+            # only the JSON envelope shows the notes: csv and plain keep five columns
+            "notes": {r.claim_id: r.note for r in reports if r.note},
         },
         plain=[r.as_line() for r in reports],
     )
 
 
 def _build_decomp(args, spec: OutputSpec) -> Table:
+    from .decomp import greedy_bell_decomposition
+
     if args.target < 0:
         raise UsageError("target must be nonnegative")
     terms = greedy_bell_decomposition(args.target)
@@ -239,6 +238,8 @@ def _build_decomp(args, spec: OutputSpec) -> Table:
 
 
 def _build_gcd_scan(args, spec: OutputSpec) -> Table:
+    from .gcdlab import scan_altered
+
     if args.n_max < 0:
         raise UsageError("n_max must be >= 0")
     _check_cap("n_max", args.n_max)
@@ -254,6 +255,16 @@ def _build_gcd_scan(args, spec: OutputSpec) -> Table:
 
 
 def _build_physics(args, spec: OutputSpec) -> Table:
+    from .physics import (
+        DEBRUIJN_SAMPLE_N,
+        PLANCK_SAMPLE_X,
+        antinormal_ordering,
+        debruijn_bound_check,
+        normal_ordering,
+        occupation,
+        planck_identity_gap,
+    )
+
     if args.mode == "occupation":
         columns = ["x", "boson", "fermion", "photon_identity_gap"]
         rows = [
@@ -297,6 +308,8 @@ def _build_physics(args, spec: OutputSpec) -> Table:
 
 
 def _build_log(args, spec: OutputSpec) -> Table:
+    from .decomp import log_left_factorial
+
     if args.n < 1:
         raise UsageError("log needs n >= 1")
     _check_cap("n", args.n)

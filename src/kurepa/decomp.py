@@ -12,9 +12,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from importlib import resources
-
-from mpmath import mp, mpf
 
 from .discrepancy import MATCH, MISMATCH, DiscrepancyReport, compare
 from .efactor import GUARD_DIGITS, EScaled, format_significant
@@ -236,6 +233,8 @@ def log_left_factorial(n: int, base="e", digits: int = 15) -> str:
     base = str(base)
     if base not in ("e", "2", "10"):
         raise ValueError("base must be e, 2 or 10")
+    from mpmath import mp, mpf
+
     value = left_factorial(n)
     with mp.workdps(digits + GUARD_DIGITS):
         ln = mp.log(mpf(value))
@@ -255,6 +254,8 @@ def check_log_identity(n: int) -> DiscrepancyReport:
     """
     if n < 1:
         raise ValueError("check_log_identity requires n >= 1")
+    from mpmath import mp, mpf
+
     values = [s.left for s in factorial_states(1, n)]
     product = math.prod(values)
     total = sum(values)
@@ -297,6 +298,8 @@ def load_fixtures() -> tuple[DecompositionFixture, ...]:
     Format: one row per line, `target_label target_value basis idx:coeff ...`;
     blank lines and # comments are skipped.
     """
+    from importlib import resources
+
     text = (
         resources.files("kurepa")
         .joinpath("data/decompositions.txt")

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
 from .sequences import bell, complementary_bell
 
 # extra working digits used by every approximate evaluation
@@ -89,5 +87,7 @@ def format_significant(value, digits: int) -> str:
         raise ValueError("digits must be >= 1")
     if value == 0:
         return "0" if digits == 1 else "0." + "0" * (digits - 1)
+    from mpmath import mp
+
     # nstr falls back to str() for types it does not know, floats included
     return mp.nstr(mp.mpf(value), digits, strip_zeros=False)

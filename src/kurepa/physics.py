@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import mp
-
 from .decomp import greedy_bell_decomposition, kurepa_sequence_sum
 from .discrepancy import MATCH, MISMATCH, DiscrepancyReport, compare
 from .efactor import GUARD_DIGITS, format_significant
@@ -27,6 +25,11 @@ PLANCK_AGREE_DIGITS = 28
 DEBRUIJN_ENVELOPE = 5
 ASYMPTOTIC_MIN_N = 30
 _SMALL_X = 1e-3
+
+# sample points of the `physics occupation` and `physics debruijn` tables,
+# also checked as report rows
+PLANCK_SAMPLE_X = (0.01, math.log(2.0), 1.0, 5.0)
+DEBRUIJN_SAMPLE_N = (10, 100, 300, 1000)
 
 
 def falling(m: int, k: int) -> int:
@@ -131,17 +134,16 @@ def occupation(x: float, sigma) -> float:
     return 1.0 / (math.exp(x) - sigma)
 
 
-def _expm1_hp(x):
-    # series-safe e^x - 1: mpmath's expm1 below the cancellation threshold
-    return mp.expm1(x) if x < _SMALL_X else mp.e**x - 1
-
-
 def _planck_routes(x):
     """Direct occupation, its Bell-EGF reading and their relative gap, at the caller's precision.
 
     The direct route is 1/(e^x - 1); the EGF route is 1/ln(e^(e^x - 1)).
     """
-    growth = _expm1_hp(mp.mpf(x))
+    from mpmath import mp
+
+    x = mp.mpf(x)
+    # series-safe e^x - 1: mpmath's expm1 below the cancellation threshold
+    growth = mp.expm1(x) if x < _SMALL_X else mp.e**x - 1
     direct = 1 / growth
     through_egf = 1 / mp.log(mp.exp(growth))
     return direct, through_egf, abs(through_egf - direct) / direct
@@ -155,6 +157,8 @@ def planck_bell_identity(x) -> DiscrepancyReport:
     """
     if x <= 0:
         raise ValueError("planck_bell_identity requires x > 0")
+    from mpmath import mp
+
     with mp.workdps(PLANCK_DIGITS + GUARD_DIGITS):
         direct, through_egf, rel = _planck_routes(x)
         status = MATCH if rel <= mp.mpf(f"1e-{PLANCK_AGREE_DIGITS}") else MISMATCH
@@ -172,6 +176,8 @@ def planck_identity_gap(x) -> float:
     """Relative gap between the direct Bose occupation and its EGF reading."""
     if x <= 0:
         raise ValueError("planck_identity_gap requires x > 0")
+    from mpmath import mp
+
     with mp.workdps(PLANCK_DIGITS + GUARD_DIGITS):
         return float(_planck_routes(x)[2])
 
@@ -185,6 +191,8 @@ def debruijn_bound_check(n: int) -> DiscrepancyReport:
     """
     if n < 10:
         raise ValueError("debruijn_bound_check requires n >= 10")
+    from mpmath import mp
+
     with mp.workdps(PLANCK_DIGITS + GUARD_DIGITS):
         lhs = mp.log(mp.mpf(bell(n))) / n
         log_n = mp.log(n)

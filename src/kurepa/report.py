@@ -27,8 +27,6 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
-from mpmath import mp
-
 from .decomp import (
     alt_kurepa_sequence_sum,
     check_log_identity,
@@ -46,6 +44,8 @@ from .gcdlab import (
     gcd_stein,
 )
 from .physics import (
+    DEBRUIJN_SAMPLE_N,
+    PLANCK_SAMPLE_X,
     antinormal_ordering,
     debruijn_bound_check,
     falling_factorial_check,
@@ -72,8 +72,6 @@ from .sequences import (
 from .verifier import check_bell_congruence
 
 CONGRUENCE_PRIMES = (2, 3, 5, 7, 11, 13, 101, 997)
-PLANCK_SAMPLE_X = (0.01, math.log(2.0), 1.0, 5.0)
-DEBRUIJN_SAMPLE_N = (10, 100, 300, 1000)
 CONJECTURE_SCAN_MAX = 200
 
 
@@ -464,6 +462,8 @@ def kurepa_poly_rows() -> list[DiscrepancyReport]:
 
 def log_rows() -> list[DiscrepancyReport]:
     """Logarithm identity for the summed sequence at small n."""
+    from mpmath import mp
+
     out = [check_log_identity(n) for n in range(1, 9)]
     # the worked n = 5 aggregate: ln of the sum against 3 ln 2 + sum of
     # coefficient-weighted Bell logs, the grouping the proof prints

@@ -108,6 +108,18 @@ def test_json_outputs_validate(capsys, output_schema, argv):
     jsonschema.validate(payload, output_schema)
 
 
+def test_report_json_carries_notes(capsys, output_schema):
+    code, out, _ = run(capsys, "report", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, output_schema)
+    notes = payload["summary"]["notes"]
+    assert notes["t3.k8"] == "printed terms give 40 bell_4 + bell_5 = 652"
+    # one entry per row that has a note, keyed by a claim id of the table
+    assert set(notes) <= {row[0] for row in payload["rows"]}
+    assert all(notes.values())
+
+
 def test_json_scaled_cells_are_structured(capsys):
     _, out, _ = run(capsys, "seq", "dobinski", "3", "3", "--format", "json")
     payload = json.loads(out)
@@ -288,19 +300,82 @@ def test_console_script_help():
         assert name in proc.stdout, name
 
 
-@pytest.mark.parametrize("module", ["numpy", "concurrent.futures", "multiprocessing"])
-def test_cli_import_does_not_load(module):
+def python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `python -c code args` on this source tree in a fresh interpreter."""
     import kurepa
 
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
     env = dict(os.environ, PYTHONPATH=src_dir)
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import kurepa.cli, sys; assert {module!r} not in sys.modules"],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("module", ["numpy", "concurrent.futures", "multiprocessing", "mpmath"])
+def test_cli_import_does_not_load(module):
+    proc = python(f"import kurepa.cli, sys; assert {module!r} not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_kurepa_loads_no_submodule():
+    proc = python("import kurepa, sys; print(sorted(m for m in sys.modules if m.startswith('kurepa')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['kurepa']\n"
+
+
+def test_every_exported_name_resolves():
+    import kurepa
+
+    namespace = {}
+    exec("from kurepa import *", namespace)
+    for name in kurepa.__all__:
+        assert namespace[name] is getattr(kurepa, name), name
+    assert set(kurepa.__all__) <= set(dir(kurepa))
+    assert kurepa.bell(5) == 52
+    assert kurepa.run_search.__module__ == "kurepa.verifier"
+    with pytest.raises(AttributeError):
+        getattr(kurepa, "no_such_name")
+
+
+# the subcommands that compute only with ints, and the layers each must not load
+EXACT_COMMANDS = {
+    ("verify", "3", "3000", "--workers", "2"): ("report", "decomp", "gcdlab", "physics"),
+    ("seq", "bell", "0", "8"): ("verifier", "report", "decomp", "gcdlab", "physics"),
+    ("gcd-scan", "4", "200"): ("verifier", "report", "decomp", "physics"),
+    ("decomp", "5914"): ("verifier", "report", "gcdlab", "physics"),
+    ("physics", "ordering"): ("verifier", "report", "gcdlab"),
+}
+
+
+@pytest.mark.parametrize("argv", list(EXACT_COMMANDS), ids=lambda a: "_".join(a[:2]))
+def test_subcommand_imports(argv):
+    proc = python(
+        "import contextlib, io, sys\n"
+        "from kurepa.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *sorted(sys.modules))\n",
+        *argv,
     )
     assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    for name in (*(f"kurepa.{layer}" for layer in EXACT_COMMANDS[argv]), "mpmath"):
+        assert name not in loaded, name
+
+
+@pytest.mark.parametrize("argv", list(EXACT_COMMANDS), ids=lambda a: "_".join(a[:2]))
+def test_exact_subcommands_need_only_the_stdlib(capsys, argv):
+    # a None entry in sys.modules makes every `import mpmath` raise ImportError
+    proc = python(
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from kurepa.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n",
+        *argv,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out
 
 
 def test_module_invocation():
