@@ -7,7 +7,9 @@ stdout or --out, rendered as plain text, comma separated values, or a JSON
 envelope {command, columns, rows, summary} that validates against
 data/output-schema.json.
 
-Exit codes: 0 success, 10 counterexample found, 2 usage, 3 I/O.
+Exit codes: 0 success, 10 counterexample found, 2 usage, 3 I/O, 4 a
+subcommand that evaluates reals (report, log, physics occupation|debruijn)
+run where mpmath is not installed.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 10
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_DEPENDENCY = 4
 
 MAX_N_ENV = "KUREPA_MAX_N"
 DEFAULT_MAX_N = 5000
@@ -62,21 +65,6 @@ SEQUENCES = {
 
 class UsageError(Exception):
     """Bad arguments caught after parsing: wrong range, capped size."""
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    """Where and how a subcommand writes its table."""
-
-    format: str = "plain"
-    path: str | None = None
-    digits: int = 15
-
-    def __post_init__(self) -> None:
-        if self.format not in ("plain", "csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.digits < 1:
-            raise ValueError("digits must be >= 1")
 
 
 @dataclass
@@ -151,7 +139,7 @@ def _check_cap(label: str, n: int) -> None:
         raise UsageError(f"{label} {n} exceeds the cap of {cap}; raise {MAX_N_ENV} to go higher")
 
 
-def _build_seq(args, spec: OutputSpec) -> Table:
+def _build_seq(args) -> Table:
     func, min_n = SEQUENCES[args.name]
     if args.n_lo < min_n:
         raise UsageError(f"{args.name} starts at n = {min_n}")
@@ -169,7 +157,7 @@ def _build_seq(args, spec: OutputSpec) -> Table:
     )
 
 
-def _build_verify(args, spec: OutputSpec) -> Table:
+def _build_verify(args) -> Table:
     from .verifier import canonical_report, run_search
 
     if args.lo < 3:
@@ -204,7 +192,7 @@ def _build_verify(args, spec: OutputSpec) -> Table:
     )
 
 
-def _build_report(args, spec: OutputSpec) -> Table:
+def _build_report(args) -> Table:
     from .report import full_report
 
     reports = full_report()
@@ -222,7 +210,7 @@ def _build_report(args, spec: OutputSpec) -> Table:
     )
 
 
-def _build_decomp(args, spec: OutputSpec) -> Table:
+def _build_decomp(args) -> Table:
     from .decomp import greedy_bell_decomposition
 
     if args.target < 0:
@@ -237,7 +225,7 @@ def _build_decomp(args, spec: OutputSpec) -> Table:
     )
 
 
-def _build_gcd_scan(args, spec: OutputSpec) -> Table:
+def _build_gcd_scan(args) -> Table:
     from .gcdlab import scan_altered
 
     if args.n_max < 0:
@@ -254,7 +242,7 @@ def _build_gcd_scan(args, spec: OutputSpec) -> Table:
     )
 
 
-def _build_physics(args, spec: OutputSpec) -> Table:
+def _build_physics(args) -> Table:
     from .physics import (
         DEBRUIJN_SAMPLE_N,
         PLANCK_SAMPLE_X,
@@ -269,10 +257,10 @@ def _build_physics(args, spec: OutputSpec) -> Table:
         columns = ["x", "boson", "fermion", "photon_identity_gap"]
         rows = [
             [
-                format_significant(x, spec.digits),
-                format_significant(occupation(x, 1), spec.digits),
-                format_significant(occupation(x, -1), spec.digits),
-                format_significant(planck_identity_gap(x), spec.digits),
+                format_significant(x, args.digits),
+                format_significant(occupation(x, 1), args.digits),
+                format_significant(occupation(x, -1), args.digits),
+                format_significant(planck_identity_gap(x), args.digits),
             ]
             for x in PLANCK_SAMPLE_X
         ]
@@ -307,18 +295,18 @@ def _build_physics(args, spec: OutputSpec) -> Table:
     )
 
 
-def _build_log(args, spec: OutputSpec) -> Table:
+def _build_log(args) -> Table:
     from .decomp import log_left_factorial
 
     if args.n < 1:
         raise UsageError("log needs n >= 1")
     _check_cap("n", args.n)
-    value = log_left_factorial(args.n, base=args.base, digits=spec.digits)
+    value = log_left_factorial(args.n, base=args.base, digits=args.digits)
     return Table(
         command="log",
         columns=["n", "base", "log"],
         rows=[[args.n, args.base, value]],
-        summary={"n": args.n, "base": args.base, "digits": spec.digits},
+        summary={"n": args.n, "base": args.base, "digits": args.digits},
         plain=[value],
     )
 
@@ -401,19 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(spec: OutputSpec, table: Table) -> str:
-    if spec.format == "csv":
+def _render(args, table: Table) -> str:
+    if args.format == "csv":
         return render_csv(table.columns, table.rows)
-    if spec.format == "json":
+    if args.format == "json":
         return render_json(table)
     return render_plain(table.plain)
 
 
-def _write(spec: OutputSpec, text: str) -> None:
-    if spec.path is None:
+def _write(args, text: str) -> None:
+    if args.out is None:
         sys.stdout.write(text)
         return
-    with open(spec.path, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -424,17 +412,21 @@ def main(argv=None) -> int:
         # argparse has already reported on the right stream
         return int(exc.code or 0)
     try:
-        spec = OutputSpec(format=args.format, path=args.out, digits=args.digits)
-        table = _BUILDERS[args.command](args, spec)
-        text = _render(spec, table)
+        table = _BUILDERS[args.command](args)
+        text = _render(args, table)
     except (UsageError, ValueError) as exc:
         print(f"kurepa: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"kurepa: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ModuleNotFoundError as exc:
+        if exc.name != "mpmath":
+            raise
+        print(f"kurepa: {args.command} needs mpmath, which is not installed", file=sys.stderr)
+        return EXIT_DEPENDENCY
     try:
-        _write(spec, text)
+        _write(args, text)
     except OSError as exc:
         print(f"kurepa: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -8,22 +8,16 @@ and "no witness within bounds" is an explicit, reportable outcome.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .discrepancy import MATCH, MISMATCH, DiscrepancyReport, compare
 from .efactor import GUARD_DIGITS, EScaled, format_significant
 from .sequences import bell, complementary_bell, factorial_states, left_factorial
 
 # bounds for the signed-basis witness search
 SIGNED_INDEX_BOUND = 12
 SIGNED_COEFF_BOUND = 10**6
-
-# comparison tolerance for the 30-digit log identity checks
-LOG_IDENTITY_DIGITS = 30
-LOG_IDENTITY_REL_TOL = "1e-25"
 
 
 class Basis(str, Enum):
@@ -119,27 +113,6 @@ def greedy_bell_decomposition(target: int) -> tuple[tuple[int, int], ...]:
         q, remainder = divmod(remainder, bell(m))
         terms.append((m, q))
     return tuple(terms)
-
-
-def verify_decomposition(
-    target: int | EScaled,
-    terms,
-    basis: Basis,
-    claim_id: str = "decomposition",
-    location: str = "adhoc",
-) -> DiscrepancyReport:
-    """Re-sum a claimed decomposition and report match or mismatch.
-
-    Accepts raw (index, coeff) pairs as published, including repeated
-    indices; nothing is normalized before the comparison.
-    """
-    basis = Basis(basis)
-    total = 0
-    for index, coeff in terms:
-        if index < 0 or coeff < 0:
-            raise ValueError("verify_decomposition requires index, coeff >= 0")
-        total += coeff * basis_coefficient(basis, index)
-    return compare(claim_id, location, _target_coefficient(target, basis), total)
 
 
 def kurepa_sequence_sum(n: int) -> int:
@@ -241,45 +214,6 @@ def log_left_factorial(n: int, base="e", digits: int = 15) -> str:
         if base != "e":
             ln = ln / mp.log(int(base))
         return format_significant(ln, digits)
-
-
-def check_log_identity(n: int) -> DiscrepancyReport:
-    """Evaluate the log identity for the cumulative sequence under both readings.
-
-    The published claim equates the sum of per-term logs with
-    ln(sequence sum) + n. Summing logs actually telescopes to
-    ln(product of terms) + n, so the product reading is the one that
-    holds; both are evaluated at 30 significant digits and the report
-    records which reading survives.
-    """
-    if n < 1:
-        raise ValueError("check_log_identity requires n >= 1")
-    from mpmath import mp, mpf
-
-    values = [s.left for s in factorial_states(1, n)]
-    product = math.prod(values)
-    total = sum(values)
-    with mp.workdps(LOG_IDENTITY_DIGITS + GUARD_DIGITS):
-        tol = mpf(LOG_IDENTITY_REL_TOL)
-        lhs = mp.fsum(mp.log(mpf(v)) + 1 for v in values)
-        product_rhs = mp.log(mpf(product)) + n
-        sum_rhs = mp.log(mpf(total)) + n
-        def agree(a, b):
-            return abs(a - b) <= tol * max(abs(a), abs(b))
-        sum_ok = agree(lhs, sum_rhs)
-        product_ok = agree(lhs, product_rhs)
-        return DiscrepancyReport(
-            claim_id=f"log.identity.n{n}",
-            location="sec5.lemma5.1",
-            claimed=format_significant(sum_rhs, LOG_IDENTITY_DIGITS),
-            computed=format_significant(lhs, LOG_IDENTITY_DIGITS),
-            status=MATCH if sum_ok else MISMATCH,
-            note=(
-                "product-reading "
-                + ("holds" if product_ok else "fails")
-                + " at the same tolerance"
-            ),
-        )
 
 
 @dataclass(frozen=True)

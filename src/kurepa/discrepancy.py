@@ -36,8 +36,10 @@ class DiscrepancyReport:
 def compare(claim_id: str, location: str, claimed, computed, note: str = "") -> DiscrepancyReport:
     """Build a report by exact string comparison of the two rendered values.
 
-    This is the status rule of every exact claim in the package; only the
-    numeric checks judged within a tolerance build DiscrepancyReport directly.
+    This is the status rule of every exact claim; report, which owns the
+    claims, is its one caller. Only the real-valued rows judged within a
+    tolerance (report's _near and physics.debruijn_bound_check) build
+    DiscrepancyReport directly.
     """
     c1, c2 = str(claimed), str(computed)
     return DiscrepancyReport(

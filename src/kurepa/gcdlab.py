@@ -1,9 +1,10 @@
-"""GCD machinery: Euclid, a traced binary (Stein) reducer, and scan checkers.
+"""GCD machinery: Euclid, a traced binary (Stein) reducer, and the shifted scan.
 
 gcd_stein records every rewrite step so a trace can be replayed and audited;
 gcd_euclid is the plain division chain kept as the reference oracle. Bulk
 scans over thousand-digit values go through math.gcd for throughput; tests
-pin all three routes to each other.
+pin all three routes to each other. The module only computes: the published
+gcd claims are compared against these values in report.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .discrepancy import DiscrepancyReport, compare
-from .sequences import factorial, factorial_sum, factorial_states, half_left_factorial
+from .sequences import factorial_states
 
 BOTH_EVEN = "both-even"
 ONE_EVEN = "one-even"
@@ -116,25 +116,6 @@ def gcd_stein(a: int, b: int) -> GcdTrace:
     return GcdTrace(inputs=(a, b), steps=tuple(steps), result=factor * (u or v))
 
 
-def check_equivalence_chain(n: int) -> DiscrepancyReport:
-    """Check the divisor chain linking the factorial sum, its half and (n+1)!/2.
-
-    Three clauses are evaluated: gcd(F_n, (n+1)!) = 2, gcd(r_n, (n+1)!/2) = 1,
-    and the exact link gcd(F_n, (n+1)!) = 2 * gcd(r_n, (n+1)!/2).
-    """
-    if n < 1:
-        raise ValueError("check_equivalence_chain requires n >= 1")
-    fn = factorial_sum(n)
-    rn = half_left_factorial(n)
-    fac = factorial(n + 1)
-    g1 = math.gcd(fn, fac)
-    g2 = math.gcd(rn, fac // 2)
-    linked = "linked" if g1 == 2 * g2 else "unlinked"
-    return compare(
-        f"equivalence.chain.n{n}", "sec4.theorem4.17", "2_1_linked", f"{g1}_{g2}_{linked}"
-    )
-
-
 @dataclass(frozen=True)
 class AlteredScanRow:
     """One scan cell: value = gcd(F_n + a, F_{n+1} + a)."""
@@ -159,88 +140,3 @@ def scan_altered(a: int, ns: Iterable[int]) -> list[AlteredScanRow]:
         if n in wanted:
             values[n] = math.gcd(s.left + a, s.factorial) if n else math.gcd(a, a + 2)
     return [AlteredScanRow(n=n, a=a, value=values[n]) for n in ns]
-
-
-# published piecewise claims for the altered scans, by shift a
-def claimed_altered(a: int, n: int) -> int:
-    if a == 2:
-        if n == 0:
-            return 1
-        if n == 1:
-            return 2
-        if n == 6:
-            return 6
-        return 12
-    if a == 3:
-        return 1 if n < 11 else 13
-    if a == 4:
-        return 1 if n == 0 else 2
-    if a == 5:
-        return 1 if n in (0, 1) else 3
-    raise ValueError(f"no published claim for a={a}")
-
-_CLAIM_LOCATIONS = {2: "sec4.lemma4.30", 3: "sec4.lemma4.31", 4: "sec4.lemma4.32", 5: "sec4.lemma4.33"}
-
-
-def check_lemma_fixtures(a: int, n_max: int = 20) -> list[DiscrepancyReport]:
-    """Compare the published piecewise claims for shift `a` against direct scans.
-
-    Claims are fixtures, never assertions: several cells are contradicted by
-    direct computation and the mismatches are the point of the report. For
-    a = 3 the scan is repeated under the one-off origin convention (the raw
-    left factorial rather than the factorial sum) because the published
-    threshold sits between the two; both scans are reported.
-    """
-    location = _CLAIM_LOCATIONS[a]
-    out = [
-        compare(f"altered.a{a}.n{row.n}", location, claimed_altered(a, row.n), row.value)
-        for row in scan_altered(a, range(n_max + 1))
-    ]
-    if a == 3:
-        out += [
-            compare(f"altered.a{a}.shifted.n{s.n}", location, claimed_altered(a, s.n),
-                    math.gcd(s.left + a, s.left + s.factorial + a), "origin shifted one step down")
-            for s in factorial_states(1, n_max)
-        ]
-    return out
-
-
-def check_table9(n_lo: int = 2, n_hi: int = 10) -> list[DiscrepancyReport]:
-    """gcd(|alternating sum|, !n) = 2 for n in [n_lo, n_hi], per the published table."""
-    if n_lo < 2 or n_hi < n_lo:
-        raise ValueError("check_table9 requires 2 <= n_lo <= n_hi")
-    return [
-        compare(f"table9.n{s.n}", "sec4.table9", 2, math.gcd(abs(s.alt), s.left))
-        for s in factorial_states(n_lo, n_hi)
-    ]
-
-
-def plus_minus_one(n: int, sign: int) -> int:
-    """F_n + sign * (-1)^n, the two companion sequences of the scans."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return factorial_sum(n) + sign * (1 if n % 2 == 0 else -1)
-
-
-def check_ab_sequences(n_max: int = 10) -> list[DiscrepancyReport]:
-    """Check the three published gcd claims about the companion sequences.
-
-    A_n = F_n + (-1)^n and B_n = F_n - (-1)^n; successive A gcds claim 1,
-    successive B gcds claim a piecewise table, and the within-index pair
-    claims 2 at the origin then 1.
-    """
-    if n_max < 1:
-        raise ValueError("check_ab_sequences requires n_max >= 1")
-    a_vals = [plus_minus_one(n, 1) for n in range(n_max + 2)]
-    b_vals = [plus_minus_one(n, -1) for n in range(n_max + 2)]
-    ns = range(n_max + 1)
-    return (
-        [compare(f"aseq.gcd.n{n}", "sec4.theorem4.37", 1, math.gcd(a_vals[n], a_vals[n + 1]))
-         for n in ns]
-        + [compare(f"bseq.gcd.n{n}", "sec4.theorem4.38", 3 if n in (0, 1) else 11 if n == 3 else 1,
-                   math.gcd(b_vals[n], b_vals[n + 1]))
-           for n in ns]
-        + [compare(f"abpair.gcd.n{n}", "sec4.lemma4.39", 2 if n == 0 else 1,
-                   math.gcd(a_vals[n], b_vals[n]))
-           for n in ns]
-    )

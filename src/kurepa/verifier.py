@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .discrepancy import DiscrepancyReport, compare
 from .sequences import bell_rows
 
 CHECKPOINT_VERSION = 1
@@ -358,24 +357,11 @@ def run_search(
 def bell_mod(n: int, p: int) -> int:
     """Bell number B_n mod p: row n of the Bell triangle with every entry reduced mod p.
 
-    It shares no arithmetic with left_factorial_mod, so check_bell_congruence
-    compares two independent algorithms.
+    It shares no arithmetic with left_factorial_mod, so the congruence
+    !p = B_(p-1) - 1 (mod p) compares two independent algorithms.
     """
     if n < 0:
         raise ValueError("bell_mod requires n >= 0")
     if p < 1:
         raise ValueError("bell_mod requires p >= 1")
     return next(islice(bell_rows(1, p), n, None))[0]
-
-
-def check_bell_congruence(p: int) -> DiscrepancyReport:
-    """!p = Bell_{p-1} - 1 (mod p) for prime p, checked by direct residue."""
-    if p < 2:
-        raise ValueError("check_bell_congruence requires p >= 2")
-    return compare(
-        f"congruence.bell.p{p}",
-        "sec1.congruence",
-        (bell_mod(p - 1, p) - 1) % p,
-        left_factorial_mod(p),
-        "claimed side is the Bell residue, computed side the direct left factorial residue",
-    )

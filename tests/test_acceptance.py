@@ -24,23 +24,18 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from kurepa.decomp import (
-    Basis,
-    Decomposition,
-    greedy_bell_decomposition,
-    load_fixtures,
-    verify_decomposition,
-)
+from kurepa.decomp import Basis, Decomposition, greedy_bell_decomposition
 from kurepa.discrepancy import MATCH, MISMATCH
-from kurepa.gcdlab import check_lemma_fixtures, gcd_euclid, gcd_stein, scan_altered
-from kurepa.physics import (
-    debruijn_bound_check,
-    falling_factorial_check,
-    normal_ordering,
-    planck_bell_identity,
-    planck_identity_gap,
+from kurepa.gcdlab import gcd_euclid, gcd_stein, scan_altered
+from kurepa.physics import debruijn_bound_check, normal_ordering, planck_identity_gap
+from kurepa.report import (
+    altered_rows,
+    decomposition_rows,
+    physics_rows,
+    table1_rows,
+    table4_rows,
+    table7_rows,
 )
-from kurepa.report import altered_rows, table1_rows, table4_rows, table7_rows
 from kurepa.sequences import bell, left_factorial
 from kurepa.verifier import (
     bell_mod,
@@ -244,12 +239,8 @@ def test_criterion_06_decomposition_round_trip():
         terms = greedy_bell_decomposition(target)
         assert sum(c * bell(i) for i, c in terms) == target
 
-    fixtures = [fx for fx in load_fixtures() if fx.label.startswith(("t2.", "t3."))]
-    assert len(fixtures) == 16
-    reports = [
-        verify_decomposition(fx.value, fx.terms, fx.basis, claim_id=fx.label)
-        for fx in fixtures
-    ]
+    reports = [r for r in decomposition_rows() if r.claim_id.startswith(("t2.", "t3."))]
+    assert len(reports) == 16
     flagged = {r.claim_id for r in reports if r.status == MISMATCH}
     head = next(r for r in reports if r.claim_id == "t2.k8e")
     elapsed = time.perf_counter() - start
@@ -331,23 +322,25 @@ def test_criterion_07c_lemma_fixtures():
     bad = []
     flagged = []
     total = 0
-    for a in (2, 3, 4, 5):
-        for rep in check_lemma_fixtures(a):
-            total += 1
-            if rep.status == MISMATCH:
-                flagged.append(rep.claim_id)
-                if not (rep.claimed and rep.computed):
-                    bad.append(rep.claim_id)
-            elif rep.status != MATCH:
+    for rep in altered_rows():
+        if not rep.claim_id.startswith("altered."):
+            continue
+        total += 1
+        if rep.status == MISMATCH:
+            flagged.append(rep.claim_id)
+            if not (rep.claimed and rep.computed):
                 bad.append(rep.claim_id)
+        elif rep.status != MATCH:
+            bad.append(rep.claim_id)
     elapsed = time.perf_counter() - start
-    ok = not bad and "altered.a2.n6" in flagged
+    ok = not bad and "altered.a2.n6" in flagged and total == 104
     announce(
         "7c (shift lemma fixtures)",
         ok,
         f"{total} entries, {len(flagged)} documented mismatches incl. altered.a2.n6, in {elapsed:.2f}s",
     )
     assert "altered.a2.n6" in flagged
+    assert total == 104
     assert not bad, bad
 
 
@@ -356,13 +349,17 @@ def test_criterion_08_physics_identities():
     start = time.perf_counter()
     bad = []
     for n in range(1, 16):
-        rep = falling_factorial_check(n, 100)
+        expansion = normal_ordering(n)
+        for m in range(101):
+            if m**n != expansion.eval_at(m):
+                bad.append(f"ordering identity at n={n}, m={m}")
+    planck = [r for r in physics_rows() if r.claim_id.startswith("occupation.planck.")]
+    if len(planck) != 4:
+        bad.append(f"{len(planck)} occupation rows")
+    for rep in planck:
         if rep.status != MATCH:
             bad.append(rep.as_line())
     for x in (0.01, math.log(2), 1.0, 5.0):
-        rep = planck_bell_identity(x)
-        if rep.status != MATCH:
-            bad.append(rep.as_line())
         if planck_identity_gap(x) >= 1e-28:
             bad.append(f"occupation identity gap at x={x}")
     for n in (100, 300, 1000):

@@ -315,6 +315,15 @@ def test_cli_import_does_not_load(module):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_computing_layers_do_not_load_discrepancy():
+    # only report (and physics, for its growth-envelope row) builds claim rows
+    proc = python(
+        "import sys, kurepa.gcdlab, kurepa.verifier, kurepa.decomp\n"
+        "assert 'kurepa.discrepancy' not in sys.modules, sorted(sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_kurepa_loads_no_submodule():
     proc = python("import kurepa, sys; print(sorted(m for m in sys.modules if m.startswith('kurepa')))")
     assert proc.returncode == 0, proc.stderr
@@ -341,7 +350,7 @@ EXACT_COMMANDS = {
     ("seq", "bell", "0", "8"): ("verifier", "report", "decomp", "gcdlab", "physics"),
     ("gcd-scan", "4", "200"): ("verifier", "report", "decomp", "physics"),
     ("decomp", "5914"): ("verifier", "report", "gcdlab", "physics"),
-    ("physics", "ordering"): ("verifier", "report", "gcdlab"),
+    ("physics", "ordering"): ("verifier", "report", "decomp", "gcdlab"),
 }
 
 
@@ -376,6 +385,20 @@ def test_exact_subcommands_need_only_the_stdlib(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert proc.stdout == out
+
+
+def test_missing_mpmath_exits_4():
+    proc = python(
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from kurepa.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n",
+        "log",
+        "8",
+    )
+    assert proc.returncode == cli.EXIT_DEPENDENCY == 4
+    assert proc.stderr == "kurepa: log needs mpmath, which is not installed\n"
+    assert proc.stdout == ""
 
 
 def test_module_invocation():

@@ -11,15 +11,14 @@ from kurepa.decomp import (
     alt_kurepa_sequence_sum,
     basis_coefficient,
     basis_epower,
-    check_log_identity,
     decompose_sequence,
     greedy_bell_decomposition,
     kurepa_sequence_sum,
     load_fixtures,
     log_left_factorial,
-    verify_decomposition,
 )
 from kurepa.efactor import EScaled
+from kurepa.report import decomposition_rows, log_rows
 from kurepa.sequences import bell, complementary_bell, left_factorial
 
 
@@ -125,13 +124,18 @@ def test_decompose_sequence_round_trips(n, basis):
 
 def test_verify_decomposition_accepts_published_terms():
     # repeated indices are kept as printed, not normalized away
-    rep = verify_decomposition(4, ((1, 2), (1, 2)), Basis.BELL)
-    assert rep.status == "match"
-    rep = verify_decomposition(5914, ((5, 1), (4, 40)), Basis.BELL)
-    assert rep.status == "mismatch"
-    assert rep.computed == "652"
-    with pytest.raises(ValueError):
-        verify_decomposition(4, ((1, -2),), Basis.BELL)
+    rows = {r.claim_id: r for r in decomposition_rows()}
+    cb = complementary_bell
+    aseq5 = cb(0) + cb(2) + 2 * cb(3) + 2 * cb(5) + 20 * cb(4) + 50 * cb(5)
+    rep = rows["thm3.18.aseq5"]
+    assert (rep.claimed, rep.computed, rep.status) == ("19", str(aseq5), "mismatch")
+    rep = rows["t3.k7"]
+    assert (rep.claimed, rep.computed, rep.status) == ("874", "874", "match")
+
+
+def test_fixture_terms_are_nonnegative():
+    for fx in load_fixtures():
+        assert all(i >= 0 and c >= 0 for i, c in fx.terms), fx.label
 
 
 def test_fixture_catalogue():
@@ -141,21 +145,25 @@ def test_fixture_catalogue():
     k8e = by_label["t2.k8e"]
     assert k8e.value == 5914
     assert k8e.basis == Basis.DOBINSKI
-    rep = verify_decomposition(k8e.value, k8e.terms, k8e.basis)
-    assert (rep.claimed, rep.computed, rep.status) == ("5914", "652", "mismatch")
+    rows = {r.claim_id: r for r in decomposition_rows()}
+    assert list(rows) == [f.label for f in fixtures]
+    rep = rows["t2.k8e"]
+    assert (rep.location, rep.claimed, rep.computed, rep.status) == (
+        "sec3.table2", "5914", "652", "mismatch"
+    )
     # the companion row in the plain-Bell table carries the same slip
-    k8 = by_label["t3.k8"]
-    assert verify_decomposition(k8.value, k8.terms, k8.basis).status == "mismatch"
-    good = by_label["t3.k5"]
-    assert verify_decomposition(good.value, good.terms, good.basis).status == "match"
+    assert rows["t3.k8"].status == "mismatch"
+    assert rows["t3.k5"].status == "match"
+    assert rows["thm3.8.kseq8e"].location == "sec3.theorem3.8"
 
 
 def test_log_identity_only_holds_at_n1():
-    assert check_log_identity(1).status == "match"
-    for n in range(2, 9):
-        rep = check_log_identity(n)
+    rows = [r for r in log_rows() if r.claim_id.startswith("log.identity.")]
+    assert [r.claim_id for r in rows] == [f"log.identity.n{n}" for n in range(1, 9)]
+    assert rows[0].status == "match"
+    for rep in rows[1:]:
         assert rep.status == "mismatch"
-        assert "product" in rep.note
+        assert rep.note == "product-reading holds at the same tolerance"
 
 
 def test_log_left_factorial():

@@ -5,21 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kurepa.gcdlab import (
-    GcdStep,
-    GcdTrace,
-    TERMINAL,
-    check_ab_sequences,
-    check_equivalence_chain,
-    check_lemma_fixtures,
-    check_table9,
-    claimed_altered,
-    gcd_euclid,
-    gcd_stein,
-    plus_minus_one,
-    scan_altered,
-)
-from kurepa.sequences import factorial_sum
+from kurepa.gcdlab import GcdStep, GcdTrace, TERMINAL, gcd_euclid, gcd_stein, scan_altered
+from kurepa.report import ab_rows, altered_rows, equivalence_rows, table9_rows
 
 nonneg = st.integers(min_value=0, max_value=2**256)
 
@@ -74,8 +61,10 @@ def test_tampered_trace_is_rejected():
 
 
 def test_equivalence_chain():
-    for n in range(1, 11):
-        rep = check_equivalence_chain(n)
+    rows = [r for r in equivalence_rows() if r.claim_id.startswith("equivalence.chain.")]
+    assert [r.claim_id for r in rows] == [f"equivalence.chain.n{n}" for n in range(1, 11)]
+    for rep in rows:
+        assert (rep.location, rep.computed) == ("sec4.theorem4.17", "2_1_linked"), rep.as_line()
         assert rep.status == "match", rep.as_line()
 
 
@@ -123,28 +112,41 @@ def test_scan_altered_matches_factorial_oracle(a, ns):
     assert [r.value for r in rows] == [_shifted_gcd(a, n) for n in ns]
 
 
+def _claimed(rows):
+    return {r.claim_id: r.claimed for r in rows}
+
+
 def test_claimed_altered_piecewise():
-    assert claimed_altered(2, 0) == 1
-    assert claimed_altered(2, 6) == 6
-    assert claimed_altered(3, 10) == 1
-    assert claimed_altered(3, 11) == 13
-    assert claimed_altered(4, 3) == 2
-    assert claimed_altered(5, 2) == 3
-    with pytest.raises(ValueError):
-        claimed_altered(7, 0)
+    claimed = _claimed(altered_rows())
+    assert claimed["altered.a2.n0"] == "1"
+    assert claimed["altered.a2.n1"] == "2"
+    assert claimed["altered.a2.n6"] == "6"
+    assert claimed["altered.a2.n20"] == "12"
+    assert claimed["altered.a3.n10"] == "1"
+    assert claimed["altered.a3.n11"] == "13"
+    assert claimed["altered.a3.shifted.n11"] == "13"
+    assert claimed["altered.a4.n3"] == "2"
+    assert claimed["altered.a5.n1"] == "1"
+    assert claimed["altered.a5.n2"] == "3"
+    assert "altered.a2.n21" not in claimed
+    assert "altered.a3.shifted.n0" not in claimed
 
 
 def test_lemma_fixture_mismatch_sets():
     # direct recomputation disagrees with the published piecewise claims
     # at exactly these indices
     want = {
-        2: {"altered.a2.n0", "altered.a2.n2", "altered.a2.n6"},
-        3: {"altered.a3.n11", "altered.a3.shifted.n11", "altered.a3.shifted.n12"},
-        4: {"altered.a4.n0"} | {f"altered.a4.n{n}" for n in range(16, 21)},
-        5: set(),
+        2: ("sec4.lemma4.30", {"altered.a2.n0", "altered.a2.n2", "altered.a2.n6"}),
+        3: ("sec4.lemma4.31",
+            {"altered.a3.n11", "altered.a3.shifted.n11", "altered.a3.shifted.n12"}),
+        4: ("sec4.lemma4.32", {"altered.a4.n0"} | {f"altered.a4.n{n}" for n in range(16, 21)}),
+        5: ("sec4.lemma4.33", set()),
     }
-    for a, expected in want.items():
-        reports = check_lemma_fixtures(a)
+    rows = altered_rows()
+    for a, (location, expected) in want.items():
+        reports = [r for r in rows if r.claim_id.startswith(f"altered.a{a}.")]
+        assert len(reports) == (41 if a == 3 else 21)
+        assert {r.location for r in reports} == {location}
         got = {r.claim_id for r in reports if r.status == "mismatch"}
         assert got == expected, (a, got)
         for r in reports:
@@ -152,20 +154,16 @@ def test_lemma_fixture_mismatch_sets():
 
 
 def test_table9_all_match():
-    reports = check_table9(2, 10)
-    assert [r.claim_id for r in reports] == [f"table9.n{n}" for n in range(2, 11)]
+    reports = [r for r in table9_rows() if not r.claim_id.startswith("table9.next.")]
+    assert [r.claim_id for r in reports] == [f"table9.n{n}" for n in range(1, 11)]
+    assert [r.claimed for r in reports] == ["1"] + ["2"] * 9
     assert all(r.status == "match" for r in reports)
 
 
 def test_ab_sequence_mismatches():
-    reports = check_ab_sequences(10)
+    reports = ab_rows()
+    assert len(reports) == 44
+    claimed = _claimed(reports)
+    assert [claimed[f"bseq.gcd.n{n}"] for n in range(5)] == ["3", "3", "1", "11", "1"]
     bad = {r.claim_id for r in reports if r.status == "mismatch"}
-    assert bad == {"bseq.gcd.n0", "abpair.gcd.n0"}
-
-
-def test_plus_minus_one():
-    assert plus_minus_one(3, 1) == factorial_sum(3) - 1
-    assert plus_minus_one(4, 1) == factorial_sum(4) + 1
-    assert plus_minus_one(4, -1) == factorial_sum(4) - 1
-    with pytest.raises(ValueError):
-        plus_minus_one(4, 2)
+    assert bad == {"bseq.gcd.n0", "abpair.gcd.n0", "pmpair.gcd.n0"}

@@ -6,21 +6,25 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
+from kurepa.decomp import greedy_bell_decomposition, kurepa_sequence_sum
 from kurepa.discrepancy import MATCH, MISMATCH
 from kurepa.physics import (
+    PLANCK_SAMPLE_X,
     OrderingExpansion,
     antinormal_ordering,
     debruijn_bound_check,
     falling,
-    falling_factorial_check,
-    kurepa_diagonal_check,
-    kurepa_normal_ordering,
     normal_ordering,
     occupation,
-    planck_bell_identity,
     planck_identity_gap,
 )
-from kurepa.sequences import stirling2
+from kurepa.report import physics_rows
+from kurepa.sequences import bell, stirling2
+
+
+@pytest.fixture(scope="module")
+def rows():
+    return {r.claim_id: r for r in physics_rows()}
 
 
 def test_falling_known_values():
@@ -81,52 +85,36 @@ def test_eval_at_collapses_to_power(n, m):
     assert normal_ordering(n).eval_at(m) == m**n
 
 
-def test_falling_factorial_check_matches():
+def test_falling_factorial_check_matches(rows):
     for n in range(1, 7):
-        rep = falling_factorial_check(n, 12)
+        rep = rows[f"ordering.diagonal.n{n}"]
         assert rep.status == MATCH, rep.as_line()
         assert rep.computed == "exact"
-
-
-def test_falling_factorial_check_validation():
-    with pytest.raises(ValueError):
-        falling_factorial_check(0, 5)
-    with pytest.raises(ValueError):
-        falling_factorial_check(3, 0)
+        assert rep.note == "checked m = 0..12"
 
 
 def test_kurepa_normal_ordering_structure():
-    terms = kurepa_normal_ordering(5)
-    # weighted Bell numbers must reassemble the summed left factorials: 51
-    from kurepa.sequences import bell
-
-    assert sum(c * bell(i) for i, c, _ in terms) == 51
-    for index, coeff, expansion in terms:
-        assert expansion.n == index
+    # the greedy Bell split of the summed left factorials through 5 reassembles 51
+    terms = greedy_bell_decomposition(kurepa_sequence_sum(5))
+    assert sum(c * bell(i) for i, c in terms) == 51
+    for index, coeff in terms:
+        assert normal_ordering(index).n == index
         assert coeff >= 1
 
 
 @pytest.mark.parametrize("n,m", [(4, 0), (4, 1), (4, 3), (4, 10), (8, 5)])
-def test_kurepa_diagonal_check_matches(n, m):
-    rep = kurepa_diagonal_check(n, m)
+def test_kurepa_diagonal_check_matches(rows, n, m):
+    rep = rows[f"ordering.kurepa.n{n}.m{m}"]
     assert rep.status == MATCH, rep.as_line()
-
-
-def test_kurepa_diagonal_check_validation():
-    with pytest.raises(ValueError):
-        kurepa_diagonal_check(4, -1)
-    with pytest.raises(ValueError):
-        kurepa_normal_ordering(0)
+    # each expansion collapses to m^index, so both sides are the weighted powers
+    terms = greedy_bell_decomposition(kurepa_sequence_sum(n))
+    assert rep.computed == str(sum(c * m**i for i, c in terms))
 
 
 def test_occupation_boson_fermion_values():
     # x = ln 2: e^x - 1 = 1 and e^x + 1 = 3
     assert occupation(math.log(2), 1) == pytest.approx(1.0, rel=1e-12)
     assert occupation(math.log(2), -1) == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-
-def test_occupation_photon_alias():
-    assert occupation(1.0, "photon") == occupation(1.0, 1)
 
 
 def test_occupation_validation():
@@ -136,17 +124,16 @@ def test_occupation_validation():
         occupation(-1.0, 1)
     with pytest.raises(ValueError):
         occupation(1.0, 2)
-
-
-def test_planck_bell_identity_samples():
-    for x in (0.01, math.log(2), 1.0, 5.0):
-        rep = planck_bell_identity(x)
-        assert rep.status == MATCH, rep.as_line()
-
-
-def test_planck_bell_identity_validation():
     with pytest.raises(ValueError):
-        planck_bell_identity(0)
+        occupation(1.0, "photon")
+
+
+def test_planck_bell_identity_samples(rows):
+    assert PLANCK_SAMPLE_X == (0.01, math.log(2), 1.0, 5.0)
+    for x in PLANCK_SAMPLE_X:
+        rep = rows[f"occupation.planck.x{x}"]
+        assert rep.status == MATCH, rep.as_line()
+        assert rep.location == "sec6.proposition6.15"
 
 
 def test_planck_identity_gap_is_tiny():
