@@ -2,13 +2,13 @@
 
 Everything integer-valued is computed with arbitrary-precision ints,
 values on the e scale keep their rational coefficient and integer e power,
-and the few genuinely real-valued checks run through mpmath at a declared
-precision. Published claims are re-checked, never assumed: see report.
+and the few genuinely real-valued checks run in decimal at a declared
+precision, so the package needs only the standard library. Published
+claims are re-checked, never assumed: see report.
 
 Importing the package loads none of its modules: each name in __all__ is
 imported from its module on first access, so `python -m kurepa` pays only
-for the layers a subcommand runs, and mpmath is imported by the functions
-that evaluate reals, on their first call.
+for the layers a subcommand runs.
 """
 
 from importlib import import_module

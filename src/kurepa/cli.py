@@ -7,9 +7,7 @@ stdout or --out, rendered as plain text, comma separated values, or a JSON
 envelope {command, columns, rows, summary} that validates against
 data/output-schema.json.
 
-Exit codes: 0 success, 10 counterexample found, 2 usage, 3 I/O, 4 a
-subcommand that evaluates reals (report, log, physics occupation|debruijn)
-run where mpmath is not installed.
+Exit codes: 0 success, 10 counterexample found, 2 usage, 3 I/O.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 10
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_DEPENDENCY = 4
 
 MAX_N_ENV = "KUREPA_MAX_N"
 DEFAULT_MAX_N = 5000
@@ -420,11 +417,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"kurepa: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ModuleNotFoundError as exc:
-        if exc.name != "mpmath":
-            raise
-        print(f"kurepa: {args.command} needs mpmath, which is not installed", file=sys.stderr)
-        return EXIT_DEPENDENCY
     try:
         _write(args, text)
     except OSError as exc:

@@ -9,6 +9,7 @@ and "no witness within bounds" is an explicit, reportable outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 
@@ -206,13 +207,11 @@ def log_left_factorial(n: int, base="e", digits: int = 15) -> str:
     base = str(base)
     if base not in ("e", "2", "10"):
         raise ValueError("base must be e, 2 or 10")
-    from mpmath import mp, mpf
-
-    value = left_factorial(n)
-    with mp.workdps(digits + GUARD_DIGITS):
-        ln = mp.log(mpf(value))
+    with localcontext() as ctx:
+        ctx.prec = digits + GUARD_DIGITS
+        ln = Decimal(left_factorial(n)).ln()
         if base != "e":
-            ln = ln / mp.log(int(base))
+            ln /= Decimal(int(base)).ln()
         return format_significant(ln, digits)
 
 

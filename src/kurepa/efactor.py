@@ -3,14 +3,14 @@
 An EScaled value is q * e^s with q an exact rational and s a small integer.
 Arithmetic never evaluates e, so nothing here is approximate. The module
 also holds the shared rendering for the package's genuinely real-valued
-checks (logs of left factorials, occupation numbers): format_significant
-prints an mpmath value to a number of significant digits, and those checks
-compute with GUARD_DIGITS more than they print.
+checks (logs of left factorials, occupation numbers): they compute in
+decimal with GUARD_DIGITS more digits than format_significant prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Context
 from fractions import Fraction
 
 from .sequences import bell, complementary_bell
@@ -78,16 +78,20 @@ def fermi(n: int) -> EScaled:
 
 
 def format_significant(value, digits: int) -> str:
-    """Render an mpmath value to `digits` significant figures.
+    """Render a Decimal, float or int to `digits` significant figures, as mpmath's nstr does.
 
-    Zero carries no significant digits of its own, so it is rendered as
-    "0." followed by digits-1 zeros to keep column widths stable.
+    The exact value rounds half away from zero. Decimal exponents inside
+    (min(-(digits // 3), -5), digits) print fixed, others as d.ddde+N, and a
+    point with no digits after it stays ("120.", "3.e-30"). Zero prints as
+    "0." and digits-1 zeros, to keep column widths stable.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if value == 0:
         return "0" if digits == 1 else "0." + "0" * (digits - 1)
-    from mpmath import mp
-
-    # nstr falls back to str() for types it does not know, floats included
-    return mp.nstr(mp.mpf(value), digits, strip_zeros=False)
+    value = Context(prec=digits, rounding=ROUND_HALF_UP).create_decimal(value)
+    text, exp = "".join(map(str, value.as_tuple().digits)).ljust(digits, "0"), value.adjusted()
+    point, suffix = 1, f"e{exp:+d}"
+    if min(-(digits // 3), -5) < exp < digits:
+        text, point, suffix = "0" * -exp + text, max(exp, 0) + 1, ""
+    return f"{'-' * value.is_signed()}{text[:point]}.{text[point:]}{suffix}"

@@ -4,7 +4,7 @@
 so every ordering identity reduces to an integer falling factorial identity,
 which the expansions here evaluate exactly. The occupation curve side
 (Planck distribution, Bell EGF round trip, de Bruijn growth envelope) runs
-at 30 significant digits through mpmath. The module computes; report
+at 30 significant digits in decimal. The module computes; report
 compares the published claims against it. The one exception is
 debruijn_bound_check, which judges its own row because the `physics
 debruijn` table prints that row.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
 from .efactor import GUARD_DIGITS, format_significant
@@ -25,7 +26,6 @@ ANTINORMAL = "antinormal"
 PLANCK_DIGITS = 30
 DEBRUIJN_ENVELOPE = 5
 ASYMPTOTIC_MIN_N = 30
-_SMALL_X = 1e-3
 
 # sample points of the `physics occupation` and `physics debruijn` tables,
 # also checked as report rows
@@ -95,13 +95,14 @@ def planck_routes(x):
 
     x must be positive. The direct route is 1/(e^x - 1); the EGF route is 1/ln(e^(e^x - 1)).
     """
-    from mpmath import mp
-
-    x = mp.mpf(x)
-    # series-safe e^x - 1: mpmath's expm1 below the cancellation threshold
-    growth = mp.expm1(x) if x < _SMALL_X else mp.e**x - 1
-    direct = 1 / growth
-    through_egf = 1 / mp.log(mp.exp(growth))
+    x = Decimal(x)
+    with localcontext() as ctx:
+        # for small x, e^x - 1 cancels the leading digits of e^x and so does
+        # ln of the EGF near 1: one more digit per decade that x lies below 1
+        ctx.prec += max(0, -x.adjusted())
+        growth = x.exp() - 1
+        egf_growth = growth.exp().ln()
+    direct, through_egf = 1 / growth, 1 / egf_growth
     return direct, through_egf, abs(through_egf - direct) / direct
 
 
@@ -109,9 +110,8 @@ def planck_identity_gap(x) -> float:
     """Relative gap between the direct Bose occupation and its EGF reading."""
     if x <= 0:
         raise ValueError("planck_identity_gap requires x > 0")
-    from mpmath import mp
-
-    with mp.workdps(PLANCK_DIGITS + GUARD_DIGITS):
+    with localcontext() as ctx:
+        ctx.prec = PLANCK_DIGITS + GUARD_DIGITS
         return float(planck_routes(x)[2])
 
 
@@ -124,12 +124,11 @@ def debruijn_bound_check(n: int) -> DiscrepancyReport:
     """
     if n < 10:
         raise ValueError("debruijn_bound_check requires n >= 10")
-    from mpmath import mp
-
-    with mp.workdps(PLANCK_DIGITS + GUARD_DIGITS):
-        lhs = mp.log(mp.mpf(bell(n))) / n
-        log_n = mp.log(n)
-        loglog_n = mp.log(log_n)
+    with localcontext() as ctx:
+        ctx.prec = PLANCK_DIGITS + GUARD_DIGITS
+        lhs = Decimal(bell(n)).ln() / n
+        log_n = Decimal(n).ln()
+        loglog_n = log_n.ln()
         ratio = loglog_n / log_n
         expansion = log_n - loglog_n - 1 + ratio + 1 / log_n + ratio**2 / 2
         diff = abs(lhs - expansion)

@@ -28,6 +28,7 @@ and e-scaled values print as "q*e^s".
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .decomp import (
@@ -132,7 +133,7 @@ def _near(claim_id, loc, claimed, computed, rel_tol, note="") -> DiscrepancyRepo
     """A real-valued claim row, both sides printed to _NEAR_DIGITS significant digits.
 
     The row matches when the two values agree to `rel_tol` relative to the
-    larger. Call it inside the mpmath precision that computed them.
+    larger. Call it inside the decimal context that computed them.
     """
     return DiscrepancyReport(
         claim_id, loc, format_significant(claimed, _NEAR_DIGITS),
@@ -528,24 +529,23 @@ def log_rows() -> list[DiscrepancyReport]:
     so the product reading is the one that holds; each row's note records
     whether it does at the same tolerance.
     """
-    from mpmath import mp
-
     out = []
-    with mp.workdps(_NEAR_DIGITS + GUARD_DIGITS):
-        tol = mp.mpf("1e-25")
+    with localcontext() as ctx:
+        ctx.prec = _NEAR_DIGITS + GUARD_DIGITS
+        tol = Decimal("1e-25")
         for n in range(1, 9):
             values = [left_factorial(k) for k in range(1, n + 1)]
-            lhs = mp.fsum(mp.log(mp.mpf(v)) + 1 for v in values)
-            product_ok = _agree(lhs, mp.log(mp.mpf(math.prod(values))) + n, tol)
+            lhs = sum(Decimal(v).ln() + 1 for v in values)
+            product_ok = _agree(lhs, Decimal(math.prod(values)).ln() + n, tol)
             out.append(_near(f"log.identity.n{n}", "sec5.lemma5.1",
-                             mp.log(mp.mpf(sum(values))) + n, lhs, tol,
+                             Decimal(sum(values)).ln() + n, lhs, tol,
                              f"product-reading {'holds' if product_ok else 'fails'} "
                              "at the same tolerance"))
         # the worked n = 5 aggregate: ln of the sum against 3 ln 2 + sum of
         # coefficient-weighted Bell logs, the grouping the proof prints
-        lhs = mp.log(mp.mpf(kurepa_sequence_sum(5)))
-        rhs = 3 * mp.log(mp.mpf(2)) + mp.fsum(
-            c * mp.log(mp.mpf(bell(i))) for i, c in ((1, 1), (2, 3), (3, 1), (4, 1))
+        lhs = Decimal(kurepa_sequence_sum(5)).ln()
+        rhs = 3 * Decimal(2).ln() + sum(
+            c * Decimal(bell(i)).ln() for i, c in ((1, 1), (2, 3), (3, 1), (4, 1))
         )
         out.append(_near("log.aggregate.n5", "sec5.theorem5.2", lhs, rhs, tol,
                          "per-term product expansions are exact; the printed "
@@ -609,8 +609,6 @@ def gas_rows() -> list[DiscrepancyReport]:
 
 def physics_rows() -> list[DiscrepancyReport]:
     """Exact diagonal identities plus the numeric occupation and growth checks."""
-    from mpmath import mp
-
     def power_gap(n):
         # m^n = sum_k S(n,k) falling(m,k) at every Fock state m = 0..12
         expansion = normal_ordering(n)
@@ -626,13 +624,14 @@ def physics_rows() -> list[DiscrepancyReport]:
         out.append(compare(f"ordering.kurepa.n{n}.m{m}", "sec6.theorem6.7",
                            sum(c * m**i for i, c in terms),
                            sum(c * normal_ordering(i).eval_at(m) for i, c in terms)))
-    with mp.workdps(_NEAR_DIGITS + GUARD_DIGITS):
+    with localcontext() as ctx:
+        ctx.prec = _NEAR_DIGITS + GUARD_DIGITS
         for x in PLANCK_SAMPLE_X:
             # n(x) = 1/(e^x - 1) against 1/ln B(x), B the Bell EGF e^(e^x - 1)
             direct, through_egf, rel = planck_routes(x)
             out.append(_near(f"occupation.planck.x{float(x)}", "sec6.proposition6.15", direct,
-                             through_egf, mp.mpf("1e-28"),
-                             f"relative difference {mp.nstr(rel, 3)}"))
+                             through_egf, Decimal("1e-28"),
+                             f"relative difference {format_significant(rel, 3)}"))
     out.extend(debruijn_bound_check(n) for n in DEBRUIJN_SAMPLE_N)
     return out
 

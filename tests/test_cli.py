@@ -344,13 +344,18 @@ def test_every_exported_name_resolves():
         getattr(kurepa, "no_such_name")
 
 
-# the subcommands that compute only with ints, and the layers each must not load
+# subcommands that must run on the standard library alone, the real-valued
+# ones included, and the layers each must not load
 EXACT_COMMANDS = {
     ("verify", "3", "3000", "--workers", "2"): ("report", "decomp", "gcdlab", "physics"),
     ("seq", "bell", "0", "8"): ("verifier", "report", "decomp", "gcdlab", "physics"),
     ("gcd-scan", "4", "200"): ("verifier", "report", "decomp", "physics"),
     ("decomp", "5914"): ("verifier", "report", "gcdlab", "physics"),
     ("physics", "ordering"): ("verifier", "report", "decomp", "gcdlab"),
+    ("report", "--format", "csv"): (),
+    ("log", "8", "--base", "2"): ("verifier", "report", "gcdlab", "physics"),
+    ("physics", "occupation"): ("verifier", "report", "decomp", "gcdlab"),
+    ("physics", "debruijn"): ("verifier", "report", "decomp", "gcdlab"),
 }
 
 
@@ -385,20 +390,6 @@ def test_exact_subcommands_need_only_the_stdlib(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert proc.stdout == out
-
-
-def test_missing_mpmath_exits_4():
-    proc = python(
-        "import sys\n"
-        "sys.modules['mpmath'] = None\n"
-        "from kurepa.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n",
-        "log",
-        "8",
-    )
-    assert proc.returncode == cli.EXIT_DEPENDENCY == 4
-    assert proc.stderr == "kurepa: log needs mpmath, which is not installed\n"
-    assert proc.stdout == ""
 
 
 def test_module_invocation():

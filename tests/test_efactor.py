@@ -1,9 +1,11 @@
 """Exact scaled powers of e and their decimal rendering."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
+from mpmath import mp
 
 from kurepa.efactor import (
     EScaled,
@@ -81,9 +83,44 @@ def test_format_significant_zero_padding():
 
 
 def test_format_significant_accepts_plain_floats():
-    # regression: nstr silently falls back to str() for unknown types
+    # a float renders from its exact binary value
     assert format_significant(0.01, 8) == "0.010000000"
     assert format_significant(99.50083333194551, 8) == "99.500833"
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(min_value=1, max_value=40))
+def test_format_significant_follows_nstr(x, digits):
+    # mpmath as the independent oracle; zero has its own padded form
+    assume(x != 0)
+    # nstr truncates the binary value before it rounds, so just above a tie
+    # it rounds down; test_format_significant_rounds_the_exact_value pins that
+    tail = "".join(map(str, Decimal(abs(x)).as_tuple().digits))[digits:]
+    assume(not tail.startswith("5000") or tail.rstrip("0") == "5")
+    assert format_significant(x, digits) == mp.nstr(mp.mpf(x), digits, strip_zeros=False)
+
+
+def test_format_significant_edge_shapes():
+    assert format_significant(0.0, 3) == format_significant(Decimal(0), 3) == "0.00"
+    assert format_significant(-0.0, 1) == "0"
+    # one digit in scientific form keeps its point, as does a fixed integer part
+    assert format_significant(3e-30, 1) == "3.e-30"
+    assert format_significant(-2.5e7, 1) == "-3.e+7"
+    assert format_significant(123.4, 3) == "123."
+    assert format_significant(Decimal("9.996"), 3) == "10.0"
+    # fixed notation down to exponent min(-(digits // 3), -5), exclusive
+    assert format_significant(1.5e-4, 2) == "0.00015"
+    assert format_significant(1.5e-5, 2) == "1.5e-5"
+    assert format_significant(1.5e-6, 21) == "0.00000150000000000000003800"
+    assert format_significant(1.5e-7, 21) == "1.49999999999999993212e-7"
+    assert format_significant(1e20, 3) == "1.00e+20"
+
+
+def test_format_significant_rounds_the_exact_value():
+    # the float 48.505 is 48.50500000000000255..., so it rounds up; nstr
+    # truncates the binary value before rounding and prints 48.50
+    assert format_significant(48.505, 4) == "48.51"
+    assert format_significant(1.25, 2) == "1.3"
+    assert format_significant(-1.25, 2) == "-1.3"
 
 
 def test_format_significant_rejects_bad_digits():

@@ -1,6 +1,7 @@
 """Operator-ordering identities and occupation-number numerics."""
 
 import math
+from decimal import localcontext
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,9 @@ from mpmath import mp
 
 from kurepa.decomp import greedy_bell_decomposition, kurepa_sequence_sum
 from kurepa.discrepancy import MATCH, MISMATCH
+from kurepa.efactor import GUARD_DIGITS, format_significant
 from kurepa.physics import (
+    PLANCK_DIGITS,
     PLANCK_SAMPLE_X,
     OrderingExpansion,
     antinormal_ordering,
@@ -17,6 +20,7 @@ from kurepa.physics import (
     normal_ordering,
     occupation,
     planck_identity_gap,
+    planck_routes,
 )
 from kurepa.report import physics_rows
 from kurepa.sequences import bell, stirling2
@@ -139,6 +143,18 @@ def test_planck_bell_identity_samples(rows):
 def test_planck_identity_gap_is_tiny():
     for x in (0.01, 1.0, 5.0):
         assert planck_identity_gap(x) < 1e-28
+
+
+@pytest.mark.parametrize("x", [1e-6, 1e-12])
+def test_planck_routes_keep_their_digits_at_small_x(x):
+    # e^x - 1 cancels the leading digits here, so it runs at raised precision
+    with localcontext() as ctx:
+        ctx.prec = PLANCK_DIGITS + GUARD_DIGITS
+        direct = planck_routes(x)[0]
+    with mp.workdps(PLANCK_DIGITS + GUARD_DIGITS):
+        want = mp.nstr(1 / mp.expm1(mp.mpf(x)), PLANCK_DIGITS, strip_zeros=False)
+    assert format_significant(direct, PLANCK_DIGITS) == want
+    assert planck_identity_gap(x) < 1e-28
 
 
 def test_planck_identity_gap_validation():
