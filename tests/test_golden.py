@@ -62,7 +62,7 @@ def test_report_csv_md5():
 
 
 # sha256 of every row's claim id and note; the csv carries no note column
-REPORT_NOTES_SHA256 = "e5089aa3646c9381e852f637208e3c8ff23eab675176cb25c54b301265671b80"
+REPORT_NOTES_SHA256 = "58be83ee1046d252027a2c997190b63f6befbc6b4a73d2f7eee1daf3d277ecd6"
 
 
 def test_report_notes_sha256():
