@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, Decimal, localcontext
 
 from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
 from .efactor import GUARD_DIGITS, format_significant
@@ -93,13 +93,16 @@ def occupation(x: float, sigma: int) -> float:
 def planck_routes(x):
     """Direct occupation, its Bell-EGF reading and their relative gap, at the caller's precision.
 
-    x must be positive. The direct route is 1/(e^x - 1); the EGF route is 1/ln(e^(e^x - 1)).
+    x must be in (0, 42]. The direct route is 1/(e^x - 1); the EGF route is 1/ln(e^(e^x - 1)).
     """
     x = Decimal(x)
     with localcontext() as ctx:
         # for small x, e^x - 1 cancels the leading digits of e^x and so does
         # ln of the EGF near 1: one more digit per decade that x lies below 1
         ctx.prec += max(0, -x.adjusted())
+        # the EGF exceeds the default exponent range (10^999999) from x = 14.7
+        # and the largest one on 64-bit builds, 10^MAX_EMAX, from x = 42.28
+        ctx.Emax = MAX_EMAX
         growth = x.exp() - 1
         egf_growth = growth.exp().ln()
     direct, through_egf = 1 / growth, 1 / egf_growth
@@ -108,8 +111,8 @@ def planck_routes(x):
 
 def planck_identity_gap(x) -> float:
     """Relative gap between the direct Bose occupation and its EGF reading."""
-    if x <= 0:
-        raise ValueError("planck_identity_gap requires x > 0")
+    if not 0 < x <= 42:
+        raise ValueError("planck_identity_gap requires 0 < x <= 42")
     with localcontext() as ctx:
         ctx.prec = PLANCK_DIGITS + GUARD_DIGITS
         return float(planck_routes(x)[2])

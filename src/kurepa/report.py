@@ -544,9 +544,8 @@ def log_rows() -> list[DiscrepancyReport]:
         # the worked n = 5 aggregate: ln of the sum against 3 ln 2 + sum of
         # coefficient-weighted Bell logs, the grouping the proof prints
         lhs = Decimal(kurepa_sequence_sum(5)).ln()
-        rhs = 3 * Decimal(2).ln() + sum(
-            c * Decimal(bell(i)).ln() for i, c in ((1, 1), (2, 3), (3, 1), (4, 1))
-        )
+        rhs = 3 * Decimal(2).ln() + sum(c * Decimal(bell(i)).ln()
+                                        for i, c in ((1, 1), (2, 3), (3, 1), (4, 1)))
         out.append(_near("log.aggregate.n5", "sec5.theorem5.2", lhs, rhs, tol,
                          "per-term product expansions are exact; the printed "
                          "aggregation splits logs of sums"))

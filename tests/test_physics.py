@@ -157,9 +157,16 @@ def test_planck_routes_keep_their_digits_at_small_x(x):
     assert planck_identity_gap(x) < 1e-28
 
 
+def test_planck_identity_gap_at_large_x():
+    # the EGF e^(e^x - 1) is about 10^(10^17.9) at x = 42
+    for x in (15.0, 42.0):
+        assert planck_identity_gap(x) < 1e-28
+
+
 def test_planck_identity_gap_validation():
-    with pytest.raises(ValueError):
-        planck_identity_gap(-2.0)
+    for x in (-2.0, 0.0, 42.5):
+        with pytest.raises(ValueError):
+            planck_identity_gap(x)
 
 
 def test_debruijn_bound_check_matches():
