@@ -78,7 +78,7 @@ def fermi(n: int) -> EScaled:
 
 
 def format_significant(value, digits: int) -> str:
-    """Render a Decimal, float or int to `digits` significant figures, as mpmath's nstr does.
+    """Render a Decimal, float or int to `digits` significant figures.
 
     The exact value rounds half away from zero. Decimal exponents inside
     (min(-(digits // 3), -5), digits) print fixed, others as d.ddde+N, and a
