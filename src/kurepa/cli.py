@@ -17,12 +17,13 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from decimal import localcontext
 from typing import Iterable
 
 # SEQUENCES holds functions of sequences and efactor; every other layer is
 # imported by the builder that runs it, so a subcommand loads only its own
 from .discrepancy import MISMATCH
-from .efactor import EScaled, dobinski, fermi, format_significant
+from .efactor import GUARD_DIGITS, EScaled, dobinski, fermi, format_significant
 from .sequences import (
     alt_left_factorial,
     bell,
@@ -252,15 +253,17 @@ def _build_physics(args) -> Table:
 
     if args.mode == "occupation":
         columns = ["x", "boson", "fermion", "photon_identity_gap"]
-        rows = [
-            [
-                format_significant(x, args.digits),
-                format_significant(occupation(x, 1), args.digits),
-                format_significant(occupation(x, -1), args.digits),
-                format_significant(planck_identity_gap(x), args.digits),
+        with localcontext() as ctx:
+            ctx.prec = args.digits + GUARD_DIGITS
+            rows = [
+                [
+                    format_significant(x, args.digits),
+                    format_significant(occupation(x, 1), args.digits),
+                    format_significant(occupation(x, -1), args.digits),
+                    format_significant(planck_identity_gap(x), args.digits),
+                ]
+                for x in PLANCK_SAMPLE_X
             ]
-            for x in PLANCK_SAMPLE_X
-        ]
         summary = {"mode": "occupation", "samples": len(rows)}
     elif args.mode == "ordering":
         columns = ["n", "normal", "antinormal"]

@@ -4,7 +4,8 @@
 so every ordering identity reduces to an integer falling factorial identity,
 which the expansions here evaluate exactly. The occupation curve side
 (Planck distribution, Bell EGF round trip, de Bruijn growth envelope) runs
-at 30 significant digits in decimal. The module computes; report
+in decimal: occupation and planck_routes at the caller's precision, the
+checks at 30 significant digits. The module computes; report
 compares the published claims against it. The one exception is
 debruijn_bound_check, which judges its own row because the `physics
 debruijn` table prints that row.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, Decimal, localcontext
+from decimal import MAX_EMAX, Decimal, getcontext, localcontext
 
 from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
 from .efactor import GUARD_DIGITS, format_significant
@@ -81,31 +82,39 @@ def antinormal_ordering(n: int) -> OrderingExpansion:
     return OrderingExpansion(n=n, coeffs=coeffs, kind=ANTINORMAL)
 
 
-def occupation(x: float, sigma: int) -> float:
-    """Mean occupation 1/(e^x - sigma); sigma is +1 (Bose) or -1 (Fermi)."""
+def _cancelling(x: Decimal):
+    """The caller's context, widened for e^x - sigma and the EGF at x in (0, 42]."""
+    ctx = getcontext().copy()
+    # for small x, e^x - 1 cancels the leading digits of e^x and so does
+    # ln of the EGF near 1: one more digit per decade that x lies below 1
+    ctx.prec += max(0, -x.adjusted())
+    # the EGF exceeds the default exponent range (10^999999) from x = 14.7
+    # and the largest one on 64-bit builds, 10^MAX_EMAX, from x = 42.28
+    ctx.Emax = MAX_EMAX
+    return localcontext(ctx)
+
+
+def occupation(x, sigma: int) -> Decimal:
+    """Mean occupation 1/(e^x - sigma) at the caller's precision; sigma is +1 (Bose) or -1 (Fermi)."""
     if x <= 0:
         raise ValueError("occupation requires x > 0")
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
-    return 1.0 / (math.exp(x) - sigma)
+    x = Decimal(x)
+    with _cancelling(x):
+        growth = x.exp() - sigma
+    return 1 / growth
 
 
 def planck_routes(x):
     """Direct occupation, its Bell-EGF reading and their relative gap, at the caller's precision.
 
-    x must be in (0, 42]. The direct route is 1/(e^x - 1); the EGF route is 1/ln(e^(e^x - 1)).
+    x must be in (0, 42]. The direct route is occupation(x, 1); the EGF route is 1/ln(e^(e^x - 1)).
     """
     x = Decimal(x)
-    with localcontext() as ctx:
-        # for small x, e^x - 1 cancels the leading digits of e^x and so does
-        # ln of the EGF near 1: one more digit per decade that x lies below 1
-        ctx.prec += max(0, -x.adjusted())
-        # the EGF exceeds the default exponent range (10^999999) from x = 14.7
-        # and the largest one on 64-bit builds, 10^MAX_EMAX, from x = 42.28
-        ctx.Emax = MAX_EMAX
-        growth = x.exp() - 1
-        egf_growth = growth.exp().ln()
-    direct, through_egf = 1 / growth, 1 / egf_growth
+    with _cancelling(x):
+        egf_growth = (x.exp() - 1).exp().ln()
+    direct, through_egf = occupation(x, 1), 1 / egf_growth
     return direct, through_egf, abs(through_egf - direct) / direct
 
 

@@ -2,7 +2,7 @@
 
 Everything here is exact: plain Python ints and dense integer polynomials.
 Two streams carry the running state. `factorial_states` steps n! together
-with !n, the alternating sums and D_n, so a table of any of them costs one
+with !n, the alternating sum and D_n, so a table of any of them costs one
 big-integer step per row; the point functions roll one cached state forward
 with the same step. `bell_rows` builds Aitken's array for
 a_(n+1) = sign * sum_k C(n, k) a_k: sign +1 gives the Bell numbers, -1 the
@@ -36,11 +36,10 @@ class FactorialState(NamedTuple):
     factorial: int  # n!
     left: int  # !n = 0! + 1! + ... + (n-1)!
     alt: int  # sum of (-1)^m * m! over 0 <= m < n
-    guy: int  # sum of (-1)^(n-m) * m! over 1 <= m <= n
     derangement: int  # D_n
 
 
-_ORIGIN = FactorialState(0, 1, 0, 0, 0, 1)
+_ORIGIN = FactorialState(0, 1, 0, 0, 1)
 
 
 def _advance(s: FactorialState) -> FactorialState:
@@ -49,7 +48,7 @@ def _advance(s: FactorialState) -> FactorialState:
     f = s.factorial * n
     alt = s.alt - s.factorial if s.n % 2 else s.alt + s.factorial
     der = n * s.derangement + (-1 if n % 2 else 1)
-    return FactorialState(n, f, s.left + s.factorial, alt, f - s.guy, der)
+    return FactorialState(n, f, s.left + s.factorial, alt, der)
 
 
 def factorial_states(lo: int = 0, hi: int | None = None) -> Iterator[FactorialState]:
@@ -96,12 +95,14 @@ def alt_left_factorial(n: int) -> int:
 def guy_alternating(n: int) -> int:
     """Sum of (-1)^(n-m) * m! over 1 <= m <= n; empty sum is 0.
 
-    Signs are anchored at the top so the m = n term is always +n!, which
-    gives G_n = n! - G_(n-1).
+    Signs are anchored at the top so the m = n term is always +n!. The terms
+    below it are (-1)^n times those of the alternating left factorial
+    without its m = 0 term, so G_n = (-1)^n * (alt(n) - 1) + n!.
     """
     if n < 0:
         raise ValueError("guy_alternating requires n >= 0")
-    return _state(n).guy
+    s = _state(n)
+    return (-1) ** n * (s.alt - 1) + s.factorial
 
 
 def wagstaff(n: int) -> int:

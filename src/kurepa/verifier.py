@@ -5,9 +5,9 @@ primes in [lo, hi), cuts them into blocks of consecutive primes, and
 computes each block's residues with one big-integer fold modulo the
 product of its primes. _block_results yields the blocks' results in block
 order, in process or from a pool of workers, and one loop in run_search
-commits them, so a checkpoint always describes a clean prefix. Waiting on
-the oldest block leaves no worker idle, because a later block folds
-further and so finishes later.
+commits them, so a checkpoint always describes a clean prefix, also the
+one saved when the run is interrupted. Waiting on the oldest block leaves
+no worker idle, because a later block folds further and so finishes later.
 Reports are canonical: the same range yields byte-identical output no
 matter the worker count or how often the run was interrupted.
 """
@@ -19,7 +19,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from typing import Iterator, Sequence
 
@@ -27,19 +27,10 @@ from .sequences import bell_rows
 
 CHECKPOINT_VERSION = 1
 HISTOGRAM_BUCKETS = 256
+# primes per block: the unit of work handed to a worker and of commit
 DEFAULT_LANES = 4096
+SIEVE_SEGMENT = 1 << 18
 CHECKPOINT_INTERVAL = 30.0
-
-_CHECKPOINT_KEYS = (
-    "version",
-    "lo",
-    "hi",
-    "last_completed",
-    "counterexamples",
-    "histogram",
-    "wall_seconds",
-    "finished",
-)
 
 
 class CheckpointFormatError(ValueError):
@@ -62,14 +53,14 @@ def _small_primes(n: int) -> list[int]:
     return [i for i, b in enumerate(mask) if b]
 
 
-def sieve_primes(lo: int, hi: int, segment: int = 1 << 18) -> Iterator[int]:
-    """Yield the primes in [lo, hi) using O(sqrt(hi) + segment) memory."""
+def sieve_primes(lo: int, hi: int) -> Iterator[int]:
+    """Yield the primes in [lo, hi) using O(sqrt(hi) + SIEVE_SEGMENT) memory."""
     if hi <= lo:
         return
     lo = max(lo, 2)
     base = _small_primes(math.isqrt(max(hi - 1, 0)))
-    for seg_lo in range(lo, hi, segment):
-        seg_hi = min(seg_lo + segment, hi)
+    for seg_lo in range(lo, hi, SIEVE_SEGMENT):
+        seg_hi = min(seg_lo + SIEVE_SEGMENT, hi)
         mask = bytearray([1]) * (seg_hi - seg_lo)
         for q in base:
             if q * q >= seg_hi:
@@ -141,6 +132,9 @@ class SearchCheckpoint:
     def to_json(self) -> str:
         payload = {key: getattr(self, key) for key in _CHECKPOINT_KEYS}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_CHECKPOINT_KEYS = tuple(f.name for f in fields(SearchCheckpoint))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -285,19 +279,14 @@ def run_search(
     workers: int = 1,
     histogram: bool = False,
     checkpoint_path: str | None = None,
-    block_limit: int | None = None,
-    lanes: int = DEFAULT_LANES,
 ) -> SearchCheckpoint:
     """Search all primes in [lo, hi) for left factorial counterexamples.
 
     One loop commits the blocks' results in block order, whatever the
     worker count, so last_completed always bounds a fully searched prefix.
     With checkpoint_path the state is persisted atomically at least every
-    CHECKPOINT_INTERVAL seconds and once more on exit; an existing file for
-    the same range is resumed. block_limit stops the run early after that
-    many committed blocks (a test hook standing in for a killed process).
-    lanes is the number of primes per block, the unit of work handed to a
-    worker and of commit.
+    CHECKPOINT_INTERVAL seconds and once more on any exit, an interrupt or
+    an error included; an existing file for the same range is resumed.
     """
     if lo < 2:
         raise ValueError("run_search requires lo >= 2")
@@ -305,8 +294,6 @@ def run_search(
         raise ValueError("run_search requires hi > lo")
     if workers < 1:
         raise ValueError("run_search requires workers >= 1")
-    if lanes < 1:
-        raise ValueError("run_search requires lanes >= 1")
 
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         ck = load_checkpoint(checkpoint_path)
@@ -332,25 +319,26 @@ def run_search(
 
     started = last_save = time.monotonic()
     base_wall = ck.wall_seconds
-    blocks = _chunked(sieve_primes(ck.last_completed, hi), lanes)
-    for commits, (primes, (cex, block_hist)) in enumerate(_block_results(blocks, workers), 1):
-        ck.counterexamples.extend(cex)
-        if ck.histogram is not None:
-            ck.histogram = [a + b for a, b in zip(ck.histogram, block_hist)]
-        ck.last_completed = primes[-1] + 1
-        now = time.monotonic()
-        if checkpoint_path is not None and now - last_save >= CHECKPOINT_INTERVAL:
-            ck.wall_seconds = base_wall + (now - started)
+    blocks = _chunked(sieve_primes(ck.last_completed, hi), DEFAULT_LANES)
+    try:
+        for primes, (cex, block_hist) in _block_results(blocks, workers):
+            # one rebinding per block, so an interrupt never saves half a block
+            ck = replace(
+                ck,
+                last_completed=primes[-1] + 1,
+                counterexamples=ck.counterexamples + cex,
+                histogram=None if ck.histogram is None else [a + b for a, b in zip(ck.histogram, block_hist)],
+            )
+            now = time.monotonic()
+            if checkpoint_path is not None and now - last_save >= CHECKPOINT_INTERVAL:
+                ck.wall_seconds = base_wall + (now - started)
+                save_checkpoint(ck, checkpoint_path)
+                last_save = now
+        ck = replace(ck, last_completed=hi, finished=True)
+    finally:
+        ck.wall_seconds = base_wall + (time.monotonic() - started)
+        if checkpoint_path is not None:
             save_checkpoint(ck, checkpoint_path)
-            last_save = now
-        if block_limit is not None and commits >= block_limit:
-            break  # dropping _block_results closes it, which shuts a pool down
-    else:
-        ck.finished = True
-        ck.last_completed = hi
-    ck.wall_seconds = base_wall + (time.monotonic() - started)
-    if checkpoint_path is not None:
-        save_checkpoint(ck, checkpoint_path)
     return ck
 
 

@@ -37,10 +37,12 @@ from kurepa.report import (
     table7_rows,
 )
 from kurepa.sequences import bell, left_factorial
+from kurepa import verifier
 from kurepa.verifier import (
     bell_mod,
     canonical_report,
     left_factorial_mod,
+    load_checkpoint,
     run_search,
     sieve_primes,
 )
@@ -379,22 +381,29 @@ def test_criterion_08_physics_identities():
     assert elapsed < 30.0
 
 
-def test_criterion_09_persistence(tmp_path):
+def test_criterion_09_persistence(tmp_path, monkeypatch, interrupt_after):
     """Kill-and-resume equals the uninterrupted run; checkpoints validate."""
     schema = json.loads(
         resources.files("kurepa.data").joinpath("checkpoint-schema.json").read_text()
     )
+    monkeypatch.setattr(verifier, "DEFAULT_LANES", 512)
     cp = str(tmp_path / "search.json")
-    partial1 = run_search(3, 50_000, lanes=512, checkpoint_path=cp, block_limit=4)
+    interrupt_after(4)
+    with pytest.raises(KeyboardInterrupt):
+        run_search(3, 50_000, checkpoint_path=cp)
+    partial1 = load_checkpoint(cp)
     assert not partial1.finished
     with open(cp, encoding="utf-8") as fh:
         jsonschema.validate(json.load(fh), schema)
-    partial2 = run_search(3, 50_000, lanes=512, checkpoint_path=cp, block_limit=9)
+    interrupt_after(9)
+    with pytest.raises(KeyboardInterrupt):
+        run_search(3, 50_000, checkpoint_path=cp)
+    partial2 = load_checkpoint(cp)
     assert partial2.last_completed > partial1.last_completed
-    resumed = run_search(3, 50_000, lanes=512, checkpoint_path=cp)
+    resumed = run_search(3, 50_000, checkpoint_path=cp)
     with open(cp, encoding="utf-8") as fh:
         jsonschema.validate(json.load(fh), schema)
-    straight = run_search(3, 50_000, lanes=512)
+    straight = run_search(3, 50_000)
     ok = resumed.finished and canonical_report(resumed) == canonical_report(straight)
     announce(
         "9 (persistence)",

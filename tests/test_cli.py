@@ -278,6 +278,9 @@ def test_occupation_digits_control(capsys):
     header, rows = parse_csv(out)
     assert header == ["x", "boson", "fermion", "photon_identity_gap"]
     assert rows[0][1] == "99.500833"
+    # at the default 15 digits a float route cancels digits at x = 0.01
+    _, out, _ = run(capsys, "physics", "occupation", "--format", "csv")
+    assert parse_csv(out)[1][0][1] == "99.5008333319444"
 
 
 def test_log_bases(capsys):

@@ -1,7 +1,7 @@
 """Operator-ordering identities and occupation-number numerics."""
 
 import math
-from decimal import localcontext
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, strategies as st
@@ -117,8 +117,9 @@ def test_kurepa_diagonal_check_matches(rows, n, m):
 
 def test_occupation_boson_fermion_values():
     # x = ln 2: e^x - 1 = 1 and e^x + 1 = 3
-    assert occupation(math.log(2), 1) == pytest.approx(1.0, rel=1e-12)
-    assert occupation(math.log(2), -1) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    x = Decimal(2).ln()
+    assert occupation(x, 1) == pytest.approx(Decimal(1), rel=Decimal("1e-26"))
+    assert occupation(x, -1) == pytest.approx(1 / Decimal(3), rel=Decimal("1e-26"))
 
 
 def test_occupation_validation():
@@ -189,6 +190,9 @@ def test_debruijn_envelope_width_decreases():
 
 
 def test_high_precision_agreement_with_mpmath():
-    with mp.workdps(40):
-        want = 1 / mp.expm1(mp.mpf("0.01"))
-    assert occupation(0.01, 1) == pytest.approx(float(want), rel=1e-13)
+    with localcontext() as ctx:
+        ctx.prec = PLANCK_DIGITS + GUARD_DIGITS
+        got = occupation(Decimal("0.01"), 1)
+    with mp.workdps(PLANCK_DIGITS + GUARD_DIGITS):
+        want = mp.nstr(1 / mp.expm1(mp.mpf("0.01")), PLANCK_DIGITS, strip_zeros=False)
+    assert format_significant(got, PLANCK_DIGITS) == want

@@ -4,6 +4,10 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,9 +55,10 @@ def test_sieve_windows():
         assert list(sieve_primes(lo, hi)) == want, (lo, hi)
 
 
-def test_sieve_small_segment_agrees():
+def test_sieve_small_segment_agrees(monkeypatch):
     # segment boundaries must not drop or duplicate primes
-    assert list(sieve_primes(2, 10_000, segment=64)) == [p for p in ORACLE if p < 10_000]
+    monkeypatch.setattr(verifier, "SIEVE_SEGMENT", 64)
+    assert list(sieve_primes(2, 10_000)) == [p for p in ORACLE if p < 10_000]
 
 
 def test_prime_count_to_1e6():
@@ -183,8 +188,6 @@ def test_run_search_argument_validation():
         run_search(5, 5)
     with pytest.raises(ValueError):
         run_search(3, 10, workers=0)
-    with pytest.raises(ValueError):
-        run_search(3, 10, lanes=0)
 
 
 def test_search_finds_no_counterexamples_below_2e4():
@@ -228,9 +231,9 @@ GOLDEN_REPORTS = {
 }
 
 
-# lanes=64 cuts (3, 30_000) into 51 blocks, more than the 2-worker pool's
-# window of 4, so the window refills as it commits; the DEFAULT_LANES cases
-# keep their ids from before lanes was a parameter
+# blocks of 64 primes cut (3, 30_000) into 51 blocks, more than the 2-worker
+# pool's window of 4, so the window refills as it commits; the DEFAULT_LANES
+# cases keep their ids from before the block size could be changed
 @pytest.mark.parametrize(
     "lo, hi, workers, lanes",
     [
@@ -243,21 +246,27 @@ GOLDEN_REPORTS = {
         for lanes in (DEFAULT_LANES, 64)
     ],
 )
-def test_canonical_report_golden(lo, hi, workers, lanes):
-    report = canonical_report(run_search(lo, hi, workers=workers, histogram=True, lanes=lanes))
+def test_canonical_report_golden(monkeypatch, lo, hi, workers, lanes):
+    monkeypatch.setattr(verifier, "DEFAULT_LANES", lanes)
+    report = canonical_report(run_search(lo, hi, workers=workers, histogram=True))
     assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_REPORTS[lo, hi]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_kill_and_resume_reproduces_straight_run(tmp_path, workers):
+def test_kill_and_resume_reproduces_straight_run(tmp_path, monkeypatch, interrupt_after, workers):
+    monkeypatch.setattr(verifier, "DEFAULT_LANES", 256)
     cp = str(tmp_path / "cp.json")
-    partial = run_search(3, 30_000, workers=workers, lanes=256, checkpoint_path=cp, block_limit=3)
-    # an early stop shuts the pool down before run_search returns
+    interrupt_after(3)
+    with pytest.raises(KeyboardInterrupt):
+        run_search(3, 30_000, workers=workers, checkpoint_path=cp)
+    # an interrupt shuts the pool down before run_search raises
     assert multiprocessing.active_children() == []
+    partial = load_checkpoint(cp)
     assert not partial.finished
-    assert 3 < partial.last_completed < 30_000
-    resumed = run_search(3, 30_000, lanes=256, checkpoint_path=cp)
-    straight = run_search(3, 30_000, lanes=256)
+    # the save on interrupt holds exactly the three committed blocks
+    assert partial.last_completed == list(sieve_primes(3, 30_000))[3 * 256 - 1] + 1
+    resumed = run_search(3, 30_000, checkpoint_path=cp)
+    straight = run_search(3, 30_000)
     assert canonical_report(resumed) == canonical_report(straight)
     assert resumed.finished
     # wall clock keeps accumulating across the resume
@@ -274,7 +283,8 @@ def test_periodic_checkpoints_describe_a_growing_prefix(tmp_path, monkeypatch, w
 
     monkeypatch.setattr(verifier, "CHECKPOINT_INTERVAL", 0.0)
     monkeypatch.setattr(verifier, "save_checkpoint", reread)
-    run_search(3, 30_000, workers=workers, lanes=256, checkpoint_path=str(tmp_path / "cp.json"))
+    monkeypatch.setattr(verifier, "DEFAULT_LANES", 256)
+    run_search(3, 30_000, workers=workers, checkpoint_path=str(tmp_path / "cp.json"))
     # the first save, one after each of the 13 blocks, and the last
     assert len(saves) == 15
     frontier = [ck.last_completed for ck in saves]
@@ -320,3 +330,39 @@ def test_search_checkpoint_file_is_schema_valid(tmp_path):
 def test_to_json_round_trips():
     ck = SearchCheckpoint(lo=3, hi=50, last_completed=10, counterexamples=[7])
     assert checkpoint_from_json(ck.to_json()) == ck
+
+
+def test_sigint_keeps_the_committed_prefix(tmp_path):
+    import jsonschema
+    from importlib import resources
+
+    import kurepa
+
+    schema = json.loads(
+        resources.files("kurepa.data").joinpath("checkpoint-schema.json").read_text()
+    )
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
+    cp = tmp_path / "cp.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kurepa", "verify", "3", "1000000", "--checkpoint", str(cp)],
+        env=dict(os.environ, PYTHONPATH=src_dir),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not cp.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        # the initial save lies at lo; three seconds of search commit blocks
+        time.sleep(3)
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    payload = json.loads(cp.read_text())
+    jsonschema.validate(payload, schema)
+    assert not payload["finished"]
+    assert payload["last_completed"] > 3
