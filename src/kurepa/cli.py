@@ -7,7 +7,7 @@ stdout or --out, rendered as plain text, comma separated values, or a JSON
 envelope {command, columns, rows, summary} that validates against
 data/output-schema.json.
 
-Exit codes: 0 success, 10 counterexample found, 2 usage, 3 I/O.
+Exit codes: 0 success, 10 counterexample found, 2 usage, 3 I/O, 130 Ctrl-C.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 10
 EXIT_USAGE = 2
 EXIT_IO = 3
+# the shell's code for a process ended by SIGINT (128 + 2)
+EXIT_INTERRUPTED = 130
 
 MAX_N_ENV = "KUREPA_MAX_N"
 DEFAULT_MAX_N = 5000
@@ -420,6 +422,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"kurepa: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        checkpoint = getattr(args, "checkpoint", None)
+        saved = f"; progress saved in {checkpoint}" if checkpoint else ""
+        print(f"kurepa: interrupted{saved}", file=sys.stderr)
+        return EXIT_INTERRUPTED
     try:
         _write(args, text)
     except OSError as exc:

@@ -2,12 +2,19 @@
 
 A counterexample is an odd prime p with !p = 0 (mod p). The search sieves
 primes in [lo, hi), cuts them into blocks of consecutive primes, and
-computes each block's residues with one big-integer fold modulo the
-product of its primes. _block_results yields the blocks' results in block
-order, in process or from a pool of workers, and one loop in run_search
-commits them, so a checkpoint always describes a clean prefix, also the
-one saved when the run is interrupted. Waiting on the oldest block leaves
-no worker idle, because a later block folds further and so finishes later.
+computes each block's residues with one big-integer fold from 1 to the
+block's first prime modulo the product of its primes, followed by a descent
+down the block's product tree (the down-pass of Costa, Gerbicz and
+Harvey's accumulating remainder tree, "A search for Wilson primes", Math.
+Comp. 2014). Moduli of BARRETT_BITS or more are folded in long chunks and
+reduced by Barrett reduction (Barrett, CRYPTO '86). _block_results yields
+the blocks' results in block order, in process or from a pool of workers,
+and one loop in run_search commits them, so a checkpoint always describes
+a clean prefix, also the one saved when the run is interrupted. Waiting on
+the oldest block leaves no worker idle, because a later block folds
+further and so finishes later: on a 2-vCPU machine the four blocks of
+[3, 150064) take about 0.24, 0.45, 0.65 and 0.50 s of CPU, the last holding
+1564 primes, not 4096.
 Reports are canonical: the same range yields byte-identical output no
 matter the worker count or how often the run was interrupted.
 """
@@ -30,6 +37,8 @@ HISTOGRAM_BUCKETS = 256
 # primes per block: the unit of work handed to a worker and of commit
 DEFAULT_LANES = 4096
 SIEVE_SEGMENT = 1 << 18
+# modulus width from which _advance reduces by Barrett in long chunks
+BARRETT_BITS = 16_000
 CHECKPOINT_INTERVAL = 30.0
 
 
@@ -83,15 +92,107 @@ def left_factorial_mod(p: int) -> int:
     return acc % p
 
 
+def _pair(a: int, b: int) -> tuple[int, int]:
+    """The exact pair of the steps [a, b): P = (a+1)...b and Q = the sum over
+    j in [a, b) of (a+1)...j, so that b! = a!*P and !b = !a + a!*Q.
+
+    Runs of at most 64 steps are Horner leaves; longer runs split in half
+    and compose as (P1*P2, Q1 + P1*Q2), so the products are balanced.
+    """
+    if b - a <= 64:
+        q = 1
+        for k in range(b - 1, a, -1):
+            q = q * k + 1
+        return math.prod(range(a + 1, b + 1)), q
+    c = (a + b) // 2
+    p1, q1 = _pair(a, c)
+    p2, q2 = _pair(c, b)
+    return p1 * p2, q1 + p1 * q2
+
+
+def _advance(f: int, s: int, m: int, end: int, modulus: int) -> tuple[int, int]:
+    """Move (f, s) = (m!, !m) mod modulus to (end!, !end) mod modulus.
+
+    Each chunk [m, b) applies its exact pair: s <- s + f*Q, f <- f*P. The
+    route depends only on the modulus width k = modulus.bit_length():
+
+    - below BARRETT_BITS, chunks of 64 steps reduced by %;
+    - from BARRETT_BITS on, chunks of k // end.bit_length() steps, so P has
+      at most k bits and f*P, f*Q are balanced products. They are reduced
+      by Barrett: with inv = 2**(2k) // modulus computed once,
+      q = ((x >> (k-1)) * inv) >> (k+1) never exceeds x // modulus, and
+      since x < 2**(2k) + 2**k it falls short by at most a few.
+
+    Measured on 2 vCPUs with CPython 3.11, advancing 30 000 steps near 1e5:
+    the long Barrett chunks run 0.97x as fast as the 64-step ones at 8 000
+    bits, 1.14x at 16 000 and 1.8x at 68 000 (a full block's product).
+    Barrett's reduction alone loses to % on narrow moduli (0.6x at the
+    1 500 bits of a block above 1e6) and wins 1.8x at 48 000 bits.
+    """
+    k = modulus.bit_length()
+    if k < BARRETT_BITS:
+        step = 64
+
+        def reduce(x: int) -> int:
+            return x % modulus
+
+    else:
+        step = k // end.bit_length()
+        inv = (1 << 2 * k) // modulus
+
+        def reduce(x: int) -> int:
+            r = x - ((x >> (k - 1)) * inv >> (k + 1)) * modulus
+            while r >= modulus:
+                r -= modulus
+            return r
+
+    while m < end:
+        b = min(m + step, end)
+        p, q = _pair(m, b)
+        s = reduce(s + f * q)
+        f = reduce(f * p)
+        m = b
+    return f, s
+
+
+def _product_tree(moduli: Sequence[int]) -> tuple:
+    """(product, left, right) over the halves of moduli; a leaf is (modulus,)."""
+    if len(moduli) == 1:
+        return (moduli[0],)
+    half = len(moduli) // 2
+    left, right = _product_tree(moduli[:half]), _product_tree(moduli[half:])
+    return (left[0] * right[0], left, right)
+
+
+def _descend(f: int, s: int, moduli: Sequence[int], node: tuple, residues: list[int]) -> None:
+    # (f, s) = (m!, !m) mod node[0] at m = moduli[0]
+    if len(node) == 1:
+        residues.append(s)
+        return
+    _, left, right = node
+    half = len(moduli) // 2
+    _descend(f % left[0], s % left[0], moduli[:half], left, residues)
+    f, s = _advance(f % right[0], s % right[0], moduli[0], moduli[half], right[0])
+    _descend(f, s, moduli[half:], right, residues)
+
+
 def block_residues(primes: Sequence[int]) -> list[int]:
     """!p mod p for a strictly increasing block of moduli >= 2.
 
-    The block is folded once modulo M, the product of its moduli: the pair
-    (F, S) = (m!, !m) mod M advances in chunks [m, b) of at most 64 steps
-    that end at or before the next modulus. A chunk's exact pair
-    P = (m+1)...b and Q = sum over j in [m, b) of (m+1)...j gives
-    S <- S + F*Q and F <- F*P, and once m reaches a modulus p, S mod p is
-    !p mod p because p divides M.
+    The block is folded once from 1 to its first modulus, modulo M, the
+    product of its moduli, and then split down its product tree: a node
+    holding (m!, !m) mod its product at its first modulus m hands the pair
+    reduced mod the left half's product to the left half, and advances it
+    mod the right half's product to the right half's first modulus. A
+    single modulus p then holds !p mod p. This holds for any increasing
+    moduli, because each modulus divides the product of every ancestor.
+    Compared with folding to every modulus mod M, each level of the
+    descent re-walks only the left halves' spans, mod products half the
+    size of the level above. The product tree costs about log2(len(primes))
+    copies of M's size, some 100 KB for a full block near 1.5e5.
+    _advance states the route each step takes: the fold and the top levels
+    of a full block are wide, a block above 1e6 with a few dozen primes is
+    narrow throughout.
     """
     if not primes:
         return []
@@ -99,20 +200,10 @@ def block_residues(primes: Sequence[int]) -> list[int]:
         raise ValueError("block_residues requires strictly increasing moduli")
     if primes[0] < 2:
         raise ValueError("block_residues requires moduli >= 2")
-    modulus = math.prod(primes)
-    f = s = 1
-    m = 1
+    tree = _product_tree(primes)
+    f, s = _advance(1, 1, 1, primes[0], tree[0])
     residues: list[int] = []
-    for p in primes:
-        while m < p:
-            b = min(m + 64, p)
-            q = 1
-            for k in range(b - 1, m, -1):
-                q = q * k + 1
-            s = (s + f * q) % modulus
-            f = f * math.prod(range(m + 1, b + 1)) % modulus
-            m = b
-        residues.append(s % p)
+    _descend(f, s, primes, tree, residues)
     return residues
 
 
@@ -249,8 +340,10 @@ def _block_results(
     pool starts blocks first in, first out, and each block folds further
     than the one before it, so blocks finish in submission order anyway.
     Only a short last block can finish early, and then nothing is left to
-    submit. Closing the generator early cancels the queued blocks and
-    shuts the pool down.
+    submit. An early exit (an interrupt, an error, or closing the
+    generator) cancels the queued blocks and terminates the workers instead
+    of waiting for the blocks they run, whose results nobody would commit,
+    so the caller's save follows at once.
     """
     if workers == 1:
         for primes in blocks:
@@ -269,6 +362,13 @@ def _block_results(
                 yield oldest, future.result()
         for primes, future in window:
             yield primes, future.result()
+    except BaseException:
+        # stop the blocks in flight, so the shutdown below finds the pool
+        # broken and returns without waiting for them (CPython 3.14 offers
+        # this as ProcessPoolExecutor.terminate_workers)
+        for process in pool._processes.values():
+            process.terminate()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
 

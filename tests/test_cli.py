@@ -233,6 +233,15 @@ def test_verify_checkpoint_range_clash_exits_2(tmp_path, capsys):
     assert err != ""
 
 
+def test_interrupt_without_checkpoint_exits_130(capsys, interrupt_after):
+    # the real-SIGINT tests in test_verifier.py cover the checkpoint line
+    interrupt_after(0)
+    code, out, err = run(capsys, "verify", "3", "500")
+    assert code == 130
+    assert out == ""
+    assert err == "kurepa: interrupted\n"
+
+
 def test_verify_histogram_row(capsys):
     code, out, _ = run(capsys, "verify", "3", "500", "--histogram", "--format", "csv")
     assert code == 0

@@ -1,13 +1,17 @@
 """Sieve, modular oracles, checkpoint hygiene, and search determinism."""
 
+import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import os
+import random
 import signal
 import subprocess
 import sys
 import time
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,12 +83,43 @@ def test_block_residues_empty_block():
     assert block_residues([]) == []
 
 
+# the scalar oracle, remembered across Hypothesis examples
+scalar_residue = functools.lru_cache(maxsize=None)(left_factorial_mod)
+
+
 @settings(max_examples=60)
-@given(st.sets(st.integers(min_value=2, max_value=3000), min_size=1, max_size=40))
+@given(st.sets(st.integers(min_value=2, max_value=3000), min_size=1, max_size=400))
 def test_block_residues_any_increasing_moduli(moduli):
-    # the fold holds for any increasing moduli >= 2, composite ones included
+    # the descent holds for any increasing moduli >= 2, composite ones
+    # included; a few hundred moduli split through several levels
     moduli = sorted(moduli)
-    assert block_residues(moduli) == [left_factorial_mod(m) for m in moduli]
+    assert block_residues(moduli) == [scalar_residue(m) for m in moduli]
+
+
+def plain_left_factorial(n):
+    """!n = 0! + 1! + ... + (n-1)!, summed term by term."""
+    total, term = 0, 1
+    for j in range(n):
+        total += term
+        term *= j + 1
+    return total
+
+
+ADVANCE_ENDS = [(n, math.factorial(n), plain_left_factorial(n)) for n in (700, 6_000)]
+
+
+@pytest.mark.parametrize("bits", [verifier.BARRETT_BITS - 1, verifier.BARRETT_BITS, verifier.BARRETT_BITS + 1])
+@pytest.mark.parametrize("shape", ["low", "high", "random"])
+def test_advance_either_side_of_the_route_threshold(bits, shape):
+    # the extreme moduli of a width stress Barrett's correction step
+    modulus = {
+        "low": (1 << (bits - 1)) + 1,
+        "high": (1 << bits) - 1,
+        "random": random.Random(bits).getrandbits(bits) | (1 << (bits - 1)),
+    }[shape]
+    (m, fm, sm), (end, fe, se) = ADVANCE_ENDS  # several chunks on either route
+    got = verifier._advance(fm % modulus, sm % modulus, m, end, modulus)
+    assert got == (fe % modulus, se % modulus)
 
 
 def test_block_residues_narrow_window_far_out():
@@ -102,6 +137,35 @@ def test_two_is_not_a_counterexample():
 @given(st.integers(min_value=0, max_value=260), st.sampled_from([1, 2, 3, 4, 5, 7, 10, 97, 101, 997, 1000]))
 def test_bell_mod_matches_exact(n, p):
     assert bell_mod(n, p) == bell(n) % p
+
+
+def bell_pred_mod(p):
+    """B_(p-1) mod p for a prime p in O(p) steps, without the Bell triangle.
+
+    S(p-1, k) = (1/k!) * sum_j (-1)^(k-j) C(k, j) j^(p-1), and by Fermat
+    j^(p-1) = 1 for 0 < j < p, so S(p-1, k) = (-1)^(k+1) / k! (mod p) for
+    1 <= k < p. The inverse factorials run down from 1/(p-1)! = -1 (Wilson).
+    """
+    total, inv = 0, p - 1
+    for k in range(p - 1, 0, -1):
+        total += inv if k % 2 else -inv
+        inv = inv * k % p
+    return total % p
+
+
+def test_bell_pred_mod_matches_the_triangle():
+    for p in [p for p in ORACLE if p < 300]:
+        assert bell_pred_mod(p) == bell_mod(p - 1, p), p
+
+
+def test_bell_congruence_on_a_full_block_near_1e5():
+    # one DEFAULT_LANES block near 1e5: its ~70 000-bit product takes the
+    # Barrett route; sampled primes meet the congruence !p = B_(p-1) - 1
+    block = list(islice(sieve_primes(100_000, 200_000), DEFAULT_LANES))
+    residues = block_residues(block)
+    for i in [*range(0, DEFAULT_LANES, DEFAULT_LANES // 8), DEFAULT_LANES - 1]:
+        p = block[i]
+        assert residues[i] == (bell_pred_mod(p) - 1) % p, p
 
 
 def test_bell_congruence_odd_primes_to_100():
@@ -252,6 +316,15 @@ def test_canonical_report_golden(monkeypatch, lo, hi, workers, lanes):
     assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_REPORTS[lo, hi]
 
 
+def test_canonical_report_golden_benchmark_size():
+    # the benchmark's search range, whose full blocks take the Barrett route;
+    # the hash was taken before the kernel split blocks down a product tree
+    report = canonical_report(run_search(3, 150_000, workers=2, histogram=True))
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "75dd3529487aad801a17a568cf51c3bd8fa3e4f34c8e43a05ab9f9646cb99d15"
+    )
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_kill_and_resume_reproduces_straight_run(tmp_path, monkeypatch, interrupt_after, workers):
     monkeypatch.setattr(verifier, "DEFAULT_LANES", 256)
@@ -332,22 +405,19 @@ def test_to_json_round_trips():
     assert checkpoint_from_json(ck.to_json()) == ck
 
 
-def test_sigint_keeps_the_committed_prefix(tmp_path):
-    import jsonschema
-    from importlib import resources
-
+def start_verify_then_interrupt(tmp_path, workers):
+    """Run `verify 3 1000000` with a checkpoint, let it commit blocks for three
+    seconds, then send SIGINT to the process alone. Returns the process, the
+    checkpoint path and the monotonic time of the signal."""
     import kurepa
 
-    schema = json.loads(
-        resources.files("kurepa.data").joinpath("checkpoint-schema.json").read_text()
-    )
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
     cp = tmp_path / "cp.json"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "kurepa", "verify", "3", "1000000", "--checkpoint", str(cp)],
+        [sys.executable, "-m", "kurepa", "verify", "3", "1000000", "--workers", str(workers), "--checkpoint", str(cp)],
         env=dict(os.environ, PYTHONPATH=src_dir),
         stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
     )
     try:
         deadline = time.monotonic() + 60
@@ -357,12 +427,53 @@ def test_sigint_keeps_the_committed_prefix(tmp_path):
         # the initial save lies at lo; three seconds of search commit blocks
         time.sleep(3)
         proc.send_signal(signal.SIGINT)
-        proc.wait(timeout=60)
+        return proc, cp, time.monotonic()
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
+
+
+def finish_interrupted(proc):
+    """Wait for the interrupted verify and return its stderr."""
+    try:
+        _, err = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+    return err.decode()
+
+
+def test_sigint_keeps_the_committed_prefix(tmp_path):
+    import jsonschema
+    from importlib import resources
+
+    schema = json.loads(
+        resources.files("kurepa.data").joinpath("checkpoint-schema.json").read_text()
+    )
+    proc, cp, _ = start_verify_then_interrupt(tmp_path, workers=1)
+    err = finish_interrupted(proc)
+    # Ctrl-C is a clean exit: the shell's 130 and one line naming the file
+    assert proc.returncode == 130
+    assert "Traceback" not in err
+    assert err == f"kurepa: interrupted; progress saved in {cp}\n"
     payload = json.loads(cp.read_text())
     jsonschema.validate(payload, schema)
     assert not payload["finished"]
     assert payload["last_completed"] > 3
+
+
+def test_sigint_saves_before_waiting_on_workers(tmp_path):
+    # with workers the committed prefix reaches disk at once, not after the
+    # blocks in flight finish, so a kill -9 soon after Ctrl-C loses nothing
+    proc, cp, signalled = start_verify_then_interrupt(tmp_path, workers=2)
+    try:
+        while json.loads(cp.read_text())["last_completed"] <= 3:
+            assert time.monotonic() - signalled < 2, "no save within 2 s of SIGINT"
+            time.sleep(0.01)
+    finally:
+        err = finish_interrupted(proc)
+    assert proc.returncode == 130
+    assert "Traceback" not in err
+    assert not json.loads(cp.read_text())["finished"]
