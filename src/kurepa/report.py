@@ -463,12 +463,11 @@ def altered_rows() -> list[DiscrepancyReport]:
                            lambda n: math.gcd(left_factorial(n) + 3, left_factorial(n + 1) + 3),
                            start=1, note="origin shifted one step down")
     loc = "sec4.conjecture4.41"
-    f = factorial_sum
     for a in (0, 4):
         violations = [
-            (n, math.gcd(f(n) + a, f(n + 1) + a))
-            for n in range(1, CONJECTURE_SCAN_MAX + 1)
-            if math.gcd(f(n) + a, f(n + 1) + a) > 2
+            (row.n, row.value)
+            for row in scan_altered(a, range(1, CONJECTURE_SCAN_MAX + 1))
+            if row.value > 2
         ]
         if violations:
             first_n, first_g = violations[0]

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kurepa.gcdlab import GcdStep, GcdTrace, TERMINAL, gcd_euclid, gcd_stein, scan_altered
 from kurepa.report import ab_rows, altered_rows, equivalence_rows, table9_rows
@@ -91,25 +91,66 @@ def test_scan_altered_empty_and_one_shot_iterables():
     assert [(r.n, r.value) for r in rows] == [(17, 34), (15, 2), (16, 34)]
 
 
+# F_0 = 0 by the table convention, F_1 = 0! + 1!, and F_m = F_(m-1) + m!
+_F = [0, 2]
+
+
+def _f(m):
+    while len(_F) <= m:
+        _F.append(_F[-1] + math.factorial(len(_F)))
+    return _F[m]
+
+
 def _shifted_gcd(a, n):
-    """gcd(F_n + a, F_(n+1) + a) from math.factorial sums, with F_0 = 0."""
-
-    def f(m):
-        return sum(math.factorial(k) for k in range(m + 1)) if m else 0
-
-    if n == 0:
-        return math.gcd(a, f(1) + a)
-    # the two terms differ by (n+1)!
-    return math.gcd(f(n) + a, math.factorial(n + 1))
+    """gcd(F_n + a, F_(n+1) + a) from math.factorial sums: the oracle."""
+    return math.gcd(_f(n) + a, _f(n + 1) + a)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(-10**6, 10**6), st.lists(st.integers(0, 150), max_size=12))
-def test_scan_altered_matches_factorial_oracle(a, ns):
+def test_scan_altered_grid_matches_factorial_oracle():
+    ns = range(601)
+    for a in range(-6, 12):
+        assert [r.value for r in scan_altered(a, ns)] == [_shifted_gcd(a, n) for n in ns], a
+
+
+row_lists = st.lists(st.integers(0, 200), max_size=12)
+
+
+def _zero_term_case(k):
+    # a = -F_k zeroes the term F_k + a, so rows k - 1 and k are k! and (k+1)!
+    return st.tuples(st.just(-_f(k)), row_lists.map(lambda ns: ns + [k, k - 1, k]))
+
+
+cases = st.one_of(
+    st.tuples(st.integers(-10**40, 10**40), row_lists),
+    st.integers(1, 200).flatmap(_zero_term_case),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+@example((-_f(12), [12, 11, 13, 12, 0]))
+def test_scan_altered_matches_factorial_oracle(case):
+    # the ns come unsorted and may repeat; rows follow them one for one
+    a, ns = case
     rows = scan_altered(a, ns)
     assert [r.n for r in rows] == ns
     assert all(r.a == a for r in rows)
     assert [r.value for r in rows] == [_shifted_gcd(a, n) for n in ns]
+
+
+def test_scan_altered_every_small_prime_in_the_support():
+    # by CRT, a = -!q (mod q) for every prime q <= 100
+    primes = [q for q in range(2, 101) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    a, modulus = 0, 1
+    for q in primes:
+        target = -sum(math.factorial(k) for k in range(q)) % q
+        a += modulus * ((target - a) * pow(modulus, -1, q) % q)
+        modulus *= q
+    ns = range(601)
+    values = [r.value for r in scan_altered(a, ns)]
+    assert values == [_shifted_gcd(a, n) for n in ns]
+    for n in range(1, 601):
+        assert {q for q in primes if values[n] % q == 0} == {q for q in primes if q <= n + 1}, n
 
 
 def _claimed(rows):
