@@ -8,13 +8,14 @@ down the block's product tree (the down-pass of Costa, Gerbicz and
 Harvey's accumulating remainder tree, "A search for Wilson primes", Math.
 Comp. 2014). Moduli of BARRETT_BITS or more are folded in long chunks and
 reduced by Barrett reduction (Barrett, CRYPTO '86). _block_results yields
-the blocks' results in block order, in process or from a pool of workers,
-and one loop in run_search commits them, so a checkpoint always describes
-a clean prefix, also the one saved when the run is interrupted. Waiting on
-the oldest block leaves no worker idle, because a later block folds
-further and so finishes later: on a 2-vCPU machine the four blocks of
-[3, 150064) take about 0.24, 0.45, 0.65 and 0.50 s of CPU, the last holding
-1564 primes, not 4096.
+the blocks' results in block order, in process or through
+multiprocessing.Pool.imap, and one loop in run_search commits them, so a
+checkpoint always describes a clean prefix, also the one saved when the
+run is interrupted; an early exit terminates the pool's workers rather
+than waiting for their blocks. Waiting on the oldest block leaves no
+worker idle, because a later block folds further and so finishes later:
+on a 2-vCPU machine the four blocks of [3, 150064) take about 0.24, 0.45,
+0.65 and 0.50 s of CPU, the last holding 1564 primes, not 4096.
 Reports are canonical: the same range yields byte-identical output no
 matter the worker count or how often the run was interrupted.
 """
@@ -50,24 +51,12 @@ class CheckpointMismatchError(ValueError):
     """Checkpoint file does not describe the requested run."""
 
 
-def _small_primes(n: int) -> list[int]:
-    # plain sieve up to n inclusive; feeds the segmented sieve with base primes
-    if n < 2:
-        return []
-    mask = bytearray([1]) * (n + 1)
-    mask[0] = mask[1] = 0
-    for q in range(2, math.isqrt(n) + 1):
-        if mask[q]:
-            mask[q * q :: q] = b"\x00" * len(range(q * q, n + 1, q))
-    return [i for i, b in enumerate(mask) if b]
-
-
 def sieve_primes(lo: int, hi: int) -> Iterator[int]:
     """Yield the primes in [lo, hi) using O(sqrt(hi) + SIEVE_SEGMENT) memory."""
     if hi <= lo:
         return
     lo = max(lo, 2)
-    base = _small_primes(math.isqrt(max(hi - 1, 0)))
+    base = list(sieve_primes(2, math.isqrt(max(hi - 1, 0)) + 1))
     for seg_lo in range(lo, hi, SIEVE_SEGMENT):
         seg_hi = min(seg_lo + SIEVE_SEGMENT, hi)
         mask = bytearray([1]) * (seg_hi - seg_lo)
@@ -248,13 +237,16 @@ def checkpoint_from_json(text: str) -> SearchCheckpoint:
     missing = set(_CHECKPOINT_KEYS) - set(payload)
     _require(not extra, f"unknown checkpoint keys: {sorted(extra)}")
     _require(not missing, f"missing checkpoint keys: {sorted(missing)}")
-    _require(payload["version"] == CHECKPOINT_VERSION, "unsupported checkpoint version")
+    _require(_is_int(payload["version"]) and payload["version"] == CHECKPOINT_VERSION, "unsupported checkpoint version")
     lo, hi, last = payload["lo"], payload["hi"], payload["last_completed"]
     _require(all(_is_int(v) for v in (lo, hi, last)), "range fields must be integers")
     _require(2 <= lo < hi, "checkpoint range must satisfy 2 <= lo < hi")
     _require(lo <= last <= hi, "last_completed must lie in [lo, hi]")
     cex = payload["counterexamples"]
-    _require(isinstance(cex, list) and all(_is_int(p) for p in cex), "counterexamples must be a list of integers")
+    _require(
+        isinstance(cex, list) and all(_is_int(p) and p >= 3 for p in cex),
+        "counterexamples must be a list of integers >= 3",
+    )
     hist = payload["histogram"]
     if hist is not None:
         _require(
@@ -309,13 +301,13 @@ def canonical_report(ck: SearchCheckpoint) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _block_worker(primes: list[int]) -> tuple[list[int], list[int]]:
+def _block_worker(primes: list[int]) -> tuple[int, list[int], list[int]]:
     residues = block_residues(primes)
     cex = [p for p, r in zip(primes, residues) if r == 0 and p > 2]
     hist = [0] * HISTOGRAM_BUCKETS
     for p, r in zip(primes, residues):
         hist[HISTOGRAM_BUCKETS * r // p] += 1
-    return cex, hist
+    return primes[-1] + 1, cex, hist
 
 
 def _chunked(it: Iterator[int], size: int) -> Iterator[list[int]]:
@@ -329,48 +321,34 @@ def _chunked(it: Iterator[int], size: int) -> Iterator[list[int]]:
         yield chunk
 
 
-def _block_results(
-    blocks: Iterator[list[int]], workers: int
-) -> Iterator[tuple[list[int], tuple[list[int], list[int]]]]:
-    """Yield (block, _block_worker(block)) in block order.
+def _block_results(blocks: Iterator[list[int]], workers: int) -> Iterator[tuple[int, list[int], list[int]]]:
+    """Yield _block_worker(block) for each block, in block order.
 
-    One worker runs each block in process. Several workers share a pool
-    with a FIFO window of at most 2 * workers submitted blocks, and the
-    oldest block is always the one awaited. That costs no parallelism: the
-    pool starts blocks first in, first out, and each block folds further
+    One worker runs each block in process. Several workers share a
+    multiprocessing.Pool, whose imap hands out blocks first in, first out
+    and yields their results in block order, so the oldest block is always
+    the one awaited. That costs no parallelism: each block folds further
     than the one before it, so blocks finish in submission order anyway.
     Only a short last block can finish early, and then nothing is left to
-    submit. An early exit (an interrupt, an error, or closing the
-    generator) cancels the queued blocks and terminates the workers instead
-    of waiting for the blocks they run, whose results nobody would commit,
-    so the caller's save follows at once.
+    hand out. imap draws the blocks in a thread of its own, but the pipe to
+    the workers holds only 64 KiB on Linux, so the sieve stays a few full
+    blocks ahead (at most 5 with 2 workers to 1e6). A worker's error is
+    raised here, in the caller. Any early exit (an interrupt, an error, or
+    closing the generator) leaves the with block, whose Pool.terminate
+    kills the workers instead of waiting for the blocks they run, whose
+    results nobody would commit, so the caller's save follows at once.
     """
     if workers == 1:
-        for primes in blocks:
-            yield primes, _block_worker(primes)
+        yield from map(_block_worker, blocks)
         return
     # the pool import costs about 20 ms, so only a parallel run pays it
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
+    import signal
 
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        window = []  # (block, future) pairs, oldest first
-        for primes in blocks:
-            window.append((primes, pool.submit(_block_worker, primes)))
-            if len(window) == 2 * workers:
-                oldest, future = window.pop(0)
-                yield oldest, future.result()
-        for primes, future in window:
-            yield primes, future.result()
-    except BaseException:
-        # stop the blocks in flight, so the shutdown below finds the pool
-        # broken and returns without waiting for them (CPython 3.14 offers
-        # this as ProcessPoolExecutor.terminate_workers)
-        for process in pool._processes.values():
-            process.terminate()
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
+    # Ctrl-C at a terminal signals the workers too; they ignore it and
+    # leave the interrupt to the caller, which terminates them
+    with multiprocessing.Pool(workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+        yield from pool.imap(_block_worker, blocks)
 
 
 def run_search(
@@ -421,11 +399,11 @@ def run_search(
     base_wall = ck.wall_seconds
     blocks = _chunked(sieve_primes(ck.last_completed, hi), DEFAULT_LANES)
     try:
-        for primes, (cex, block_hist) in _block_results(blocks, workers):
+        for end, cex, block_hist in _block_results(blocks, workers):
             # one rebinding per block, so an interrupt never saves half a block
             ck = replace(
                 ck,
-                last_completed=primes[-1] + 1,
+                last_completed=end,
                 counterexamples=ck.counterexamples + cex,
                 histogram=None if ck.histogram is None else [a + b for a, b in zip(ck.histogram, block_hist)],
             )

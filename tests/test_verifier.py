@@ -54,7 +54,11 @@ def test_sieve_matches_oracle_to_1e5():
 
 
 def test_sieve_windows():
-    for lo, hi in [(2, 3), (3, 4), (100, 200), (262_100, 262_200), (99_991, 99_992)]:
+    windows = [(2, 3), (3, 4), (100, 200), (262_100, 262_200), (99_991, 99_992)]
+    # tiny ranges and windows ending just past a prime square pin the
+    # recursive sieve's base-prime bound
+    windows += [(2, 5), (2, 10), (48, 50), (120, 122), (168, 170), (5, 5)]
+    for lo, hi in windows:
         want = [p for p in eratosthenes(hi) if lo <= p < hi]
         assert list(sieve_primes(lo, hi)) == want, (lo, hi)
 
@@ -206,6 +210,7 @@ def test_checkpoint_round_trip(tmp_path):
     [
         {"extra_key": 1},
         {"version": 2},
+        {"version": True},
         {"lo": 1},
         {"lo": "3"},
         {"hi": 3},
@@ -213,6 +218,8 @@ def test_checkpoint_round_trip(tmp_path):
         {"last_completed": 2},
         {"counterexamples": "none"},
         {"counterexamples": [True]},
+        {"counterexamples": [0]},
+        {"counterexamples": [2]},
         {"histogram": [0] * 255},
         {"histogram": [-1] + [0] * 255},
         {"wall_seconds": -0.5},
@@ -265,6 +272,8 @@ def test_worker_counts_agree():
     a = run_search(3, 20_000, workers=1)
     b = run_search(3, 20_000, workers=3)
     assert canonical_report(a) == canonical_report(b)
+    # a finished parallel run leaves no worker behind
+    assert multiprocessing.active_children() == []
 
 
 def test_canonical_report_hides_wall_seconds():
@@ -295,9 +304,10 @@ GOLDEN_REPORTS = {
 }
 
 
-# blocks of 64 primes cut (3, 30_000) into 51 blocks, more than the 2-worker
-# pool's window of 4, so the window refills as it commits; the DEFAULT_LANES
-# cases keep their ids from before the block size could be changed
+# blocks of 64 primes cut (3, 30_000) into 51 blocks, many more than the
+# 2-worker pool runs at once, so blocks are handed out while earlier ones
+# commit; the DEFAULT_LANES cases keep their ids from before the block size
+# could be changed
 @pytest.mark.parametrize(
     "lo, hi, workers, lanes",
     [
@@ -344,6 +354,16 @@ def test_kill_and_resume_reproduces_straight_run(tmp_path, monkeypatch, interrup
     assert resumed.finished
     # wall clock keeps accumulating across the resume
     assert resumed.wall_seconds >= partial.wall_seconds
+
+
+def test_worker_error_reaches_the_caller():
+    # the second block's moduli do not increase, so its worker raises
+    results = verifier._block_results(iter([[3, 5, 7], [11, 7]]), 2)
+    assert next(results) == verifier._block_worker([3, 5, 7])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        next(results)
+    # the error left the pool, which terminated its workers
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -405,10 +425,12 @@ def test_to_json_round_trips():
     assert checkpoint_from_json(ck.to_json()) == ck
 
 
-def start_verify_then_interrupt(tmp_path, workers):
+def start_verify_then_interrupt(tmp_path, workers, group=False):
     """Run `verify 3 1000000` with a checkpoint, let it commit blocks for three
-    seconds, then send SIGINT to the process alone. Returns the process, the
-    checkpoint path and the monotonic time of the signal."""
+    seconds, then send SIGINT to the process alone, or with group=True to its
+    whole process group, workers included, as Ctrl-C at a terminal does.
+    Returns the process, the checkpoint path and the monotonic time of the
+    signal."""
     import kurepa
 
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
@@ -418,6 +440,7 @@ def start_verify_then_interrupt(tmp_path, workers):
         env=dict(os.environ, PYTHONPATH=src_dir),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
+        start_new_session=group,
     )
     try:
         deadline = time.monotonic() + 60
@@ -426,7 +449,10 @@ def start_verify_then_interrupt(tmp_path, workers):
             time.sleep(0.01)
         # the initial save lies at lo; three seconds of search commit blocks
         time.sleep(3)
-        proc.send_signal(signal.SIGINT)
+        if group:
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            proc.send_signal(signal.SIGINT)
         return proc, cp, time.monotonic()
     except BaseException:
         proc.kill()
@@ -477,3 +503,18 @@ def test_sigint_saves_before_waiting_on_workers(tmp_path):
     assert proc.returncode == 130
     assert "Traceback" not in err
     assert not json.loads(cp.read_text())["finished"]
+
+
+def test_group_sigint_prints_one_line_and_leaves_no_worker(tmp_path):
+    # the workers ignore SIGINT, so none prints a traceback, and the pool's
+    # terminate stops them before the process exits
+    proc, cp, _ = start_verify_then_interrupt(tmp_path, workers=2, group=True)
+    err = finish_interrupted(proc)
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # nothing of the run's process group is left
+    else:
+        pytest.fail("a worker outlived the interrupted run")
+    assert proc.returncode == 130
+    assert err == f"kurepa: interrupted; progress saved in {cp}\n"
