@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "Basis": "decomp",
     "Decomposition": "decomp",
-    "decompose_sequence": "decomp",
     "greedy_bell_decomposition": "decomp",
     "kurepa_sequence_sum": "decomp",
     "MATCH": "discrepancy",

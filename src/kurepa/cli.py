@@ -96,16 +96,6 @@ def render_csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_csv(text: str) -> tuple[list[str], list[list[str]]]:
-    """Inverse of render_csv on its own output."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ValueError("empty csv")
-    return lines[0].split(","), [line.split(",") for line in lines[1:]]
-
-
 def render_json(table: Table) -> str:
     payload = {
         "command": table.command,

@@ -1,9 +1,9 @@
-"""GCD machinery: Euclid, a traced binary (Stein) reducer, and the shifted scan.
+"""GCD machinery: Euclid, the binary (Stein) reducer, and the shifted scan.
 
-gcd_stein records every rewrite step so a trace can be replayed and audited;
-gcd_euclid is the plain division chain kept as the reference oracle; tests
-pin both to math.gcd. scan_altered takes no gcd of factorial-sized values:
-it reads each row's prime support from the residues !q mod q that the
+report's theorem 4.17 binary-gcd column uses gcd_stein; gcd_euclid is the
+plain division chain kept as the reference oracle; tests pin both to
+math.gcd. scan_altered takes no gcd of factorial-sized values: it reads
+each row's prime support from the residues !q mod q that the
 counterexample search computes, and each exponent from a walk modulo a
 prime power. Tests pin it to math.gcd over direct factorial sums. The
 module only computes: the published gcd claims are compared against these
@@ -18,11 +18,6 @@ from typing import Iterable
 
 from .verifier import block_residues, sieve_primes
 
-BOTH_EVEN = "both-even"
-ONE_EVEN = "one-even"
-BOTH_ODD = "both-odd"
-TERMINAL = "terminal"
-
 
 def gcd_euclid(a: int, b: int) -> int:
     """Nonnegative gcd by the division chain; gcd(0, 0) = 0."""
@@ -32,62 +27,8 @@ def gcd_euclid(a: int, b: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class GcdStep:
-    rule: str
-    state: tuple[int, int]  # (u, v) after the rule fires
-
-
-@dataclass(frozen=True)
-class GcdTrace:
-    inputs: tuple[int, int]
-    steps: tuple[GcdStep, ...]
-    result: int
-
-    def replay(self) -> int:
-        """Re-run the recorded rewrites, checking each step; returns the result.
-
-        Raises ValueError if any recorded step disagrees with the rules.
-        """
-        u, v = self.inputs
-        factor = 1
-        for step in self.steps:
-            if step.rule == BOTH_EVEN:
-                if u % 2 or v % 2:
-                    raise ValueError("both-even step on non-even state")
-                u, v = u // 2, v // 2
-                factor *= 2
-            elif step.rule == ONE_EVEN:
-                if u % 2 == 0 and v % 2 == 1:
-                    u //= 2
-                elif v % 2 == 0 and u % 2 == 1:
-                    v //= 2
-                else:
-                    raise ValueError("one-even step needs exactly one even side")
-            elif step.rule == BOTH_ODD:
-                if u % 2 == 0 or v % 2 == 0:
-                    raise ValueError("both-odd step on even state")
-                if u >= v:
-                    u = abs(u - v) // 2
-                else:
-                    v = abs(v - u) // 2
-            elif step.rule == TERMINAL:
-                if u and v:
-                    raise ValueError("terminal step before a zero appeared")
-            else:
-                raise ValueError(f"unknown rule {step.rule!r}")
-            if (u, v) != step.state:
-                raise ValueError(f"replay diverged at {step}")
-        if self.steps and self.steps[-1].rule != TERMINAL:
-            raise ValueError("trace does not end in a terminal step")
-        got = factor * (u or v)
-        if got != self.result:
-            raise ValueError(f"replayed result {got} != recorded {self.result}")
-        return got
-
-
-def gcd_stein(a: int, b: int) -> GcdTrace:
-    """Binary gcd with a full step trace; requires nonnegative inputs.
+def gcd_stein(a: int, b: int) -> int:
+    """Binary gcd of nonnegative inputs; gcd(0, 0) = 0.
 
     Rules, applied deterministically until one side is zero:
     both even -> halve both, carry a factor 2; one even -> halve it;
@@ -97,26 +38,19 @@ def gcd_stein(a: int, b: int) -> GcdTrace:
         raise ValueError("gcd_stein requires nonnegative inputs")
     u, v = a, b
     factor = 1
-    steps: list[GcdStep] = []
     while u and v:
         if u % 2 == 0 and v % 2 == 0:
             u, v = u // 2, v // 2
             factor *= 2
-            steps.append(GcdStep(BOTH_EVEN, (u, v)))
         elif u % 2 == 0:
             u //= 2
-            steps.append(GcdStep(ONE_EVEN, (u, v)))
         elif v % 2 == 0:
             v //= 2
-            steps.append(GcdStep(ONE_EVEN, (u, v)))
+        elif u >= v:
+            u = (u - v) // 2
         else:
-            if u >= v:
-                u = (u - v) // 2
-            else:
-                v = (v - u) // 2
-            steps.append(GcdStep(BOTH_ODD, (u, v)))
-    steps.append(GcdStep(TERMINAL, (u, v)))
-    return GcdTrace(inputs=(a, b), steps=tuple(steps), result=factor * (u or v))
+            v = (v - u) // 2
+    return factor * (u or v)
 
 
 @dataclass(frozen=True)

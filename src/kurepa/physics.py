@@ -21,9 +21,6 @@ from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
 from .efactor import GUARD_DIGITS, format_significant
 from .sequences import bell, stirling2
 
-NORMAL = "normal"
-ANTINORMAL = "antinormal"
-
 PLANCK_DIGITS = 30
 DEBRUIJN_ENVELOPE = 5
 ASYMPTOTIC_MIN_N = 30
@@ -47,13 +44,10 @@ class OrderingExpansion:
 
     n: int
     coeffs: tuple[int, ...]
-    kind: str
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("OrderingExpansion requires n >= 1")
-        if self.kind not in (NORMAL, ANTINORMAL):
-            raise ValueError(f"unknown ordering kind {self.kind!r}")
         if len(self.coeffs) != self.n:
             raise ValueError("need one coefficient per k = 1..n")
 
@@ -71,7 +65,7 @@ def normal_ordering(n: int) -> OrderingExpansion:
     """(a+ a)^n = sum_k S(n,k) (a+)^k a^k; coefficients are Stirling numbers."""
     if n < 1:
         raise ValueError("normal_ordering requires n >= 1")
-    return OrderingExpansion(n=n, coeffs=tuple(stirling2(n, k) for k in range(1, n + 1)), kind=NORMAL)
+    return OrderingExpansion(n=n, coeffs=tuple(stirling2(n, k) for k in range(1, n + 1)))
 
 
 def antinormal_ordering(n: int) -> OrderingExpansion:
@@ -79,7 +73,7 @@ def antinormal_ordering(n: int) -> OrderingExpansion:
     if n < 1:
         raise ValueError("antinormal_ordering requires n >= 1")
     coeffs = tuple((-1) ** (n - k) * stirling2(n, k) for k in range(1, n + 1))
-    return OrderingExpansion(n=n, coeffs=coeffs, kind=ANTINORMAL)
+    return OrderingExpansion(n=n, coeffs=coeffs)
 
 
 def _cancelling(x: Decimal):

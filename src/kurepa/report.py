@@ -329,7 +329,7 @@ def equivalence_rows() -> list[DiscrepancyReport]:
         *_column("thm4.17.gcdrt", loc, (1,) * 10,
                  lambda n: math.gcd(half_left_factorial(n), factorial(n + 1) // 2), start=1),
         *_column("thm4.17.binary", loc, (2,) * 9,
-                 lambda n: gcd_stein(factorial_sum(n), factorial(n + 1)).result, start=2),
+                 lambda n: gcd_stein(factorial_sum(n), factorial(n + 1)), start=2),
         *_column("equivalence.chain", "sec4.theorem4.17", ("2_1_linked",) * 10, chain, start=1,
                  cell=str),
     ]

@@ -223,6 +223,9 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _is_int(value: object) -> bool:
+    """An integer as JSON Schema counts one: 3 or 3.0, but not 3.5 or true."""
+    if isinstance(value, float):
+        return value.is_integer()
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -262,11 +265,11 @@ def checkpoint_from_json(text: str) -> SearchCheckpoint:
     if finished:
         _require(last == hi, "a finished checkpoint must have last_completed == hi")
     return SearchCheckpoint(
-        lo=lo,
-        hi=hi,
-        last_completed=last,
-        counterexamples=list(cex),
-        histogram=list(hist) if hist is not None else None,
+        lo=int(lo),
+        hi=int(hi),
+        last_completed=int(last),
+        counterexamples=[int(p) for p in cex],
+        histogram=[int(c) for c in hist] if hist is not None else None,
         wall_seconds=float(wall),
         finished=finished,
     )

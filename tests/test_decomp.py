@@ -1,7 +1,5 @@
 """Decompositions over the Bell-family bases and the log identities."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,14 +8,11 @@ from kurepa.decomp import (
     Decomposition,
     alt_kurepa_sequence_sum,
     basis_coefficient,
-    basis_epower,
-    decompose_sequence,
     greedy_bell_decomposition,
     kurepa_sequence_sum,
     load_fixtures,
     log_left_factorial,
 )
-from kurepa.efactor import EScaled
 from kurepa.report import decomposition_rows, log_rows
 from kurepa.sequences import bell, complementary_bell, left_factorial
 
@@ -29,13 +24,6 @@ def test_basis_coefficients():
     assert basis_coefficient(Basis.INVDOBINSKI, 5) == complementary_bell(5)
 
 
-def test_basis_epowers():
-    assert basis_epower(Basis.BELL) == 0
-    assert basis_epower(Basis.DOBINSKI) == 1
-    assert basis_epower(Basis.INVBELL) == 0
-    assert basis_epower(Basis.INVDOBINSKI) == -1
-
-
 def test_decomposition_validates_on_construction():
     d = Decomposition(basis=Basis.BELL, terms=((3, 2), (1, 4)), target=14)
     assert d.target == 14
@@ -45,14 +33,6 @@ def test_decomposition_validates_on_construction():
         Decomposition(basis=Basis.BELL, terms=((3, 0),), target=0)
     with pytest.raises(ValueError):
         Decomposition(basis=Basis.BELL, terms=((3, 1),), target=6)
-
-
-def test_decomposition_scaled_target():
-    d = Decomposition(basis=Basis.DOBINSKI, terms=((3, 1),), target=EScaled(5, 1))
-    assert d.terms == ((3, 1),)
-    # epower of the target must match the basis
-    with pytest.raises(ValueError):
-        Decomposition(basis=Basis.DOBINSKI, terms=((3, 1),), target=EScaled(5, 2))
 
 
 def _rescan_greedy(target):
@@ -109,17 +89,6 @@ def test_sequence_sums():
         kurepa_sequence_sum(0)
     with pytest.raises(ValueError):
         alt_kurepa_sequence_sum(0)
-
-
-@settings(max_examples=30)
-@given(st.integers(min_value=1, max_value=10), st.sampled_from(list(Basis)))
-def test_decompose_sequence_round_trips(n, basis):
-    d = decompose_sequence(n, basis)
-    total = sum(c * basis_coefficient(basis, i) for i, c in d.terms)
-    if isinstance(d.target, EScaled):
-        assert total == d.target.coeff
-    else:
-        assert total == d.target
 
 
 def test_verify_decomposition_accepts_published_terms():

@@ -76,11 +76,9 @@ def test_coefficient_accessor_bounds():
 
 def test_ordering_expansion_validation():
     with pytest.raises(ValueError):
-        OrderingExpansion(n=0, coeffs=(), kind="normal")
+        OrderingExpansion(n=0, coeffs=())
     with pytest.raises(ValueError):
-        OrderingExpansion(n=2, coeffs=(1,), kind="normal")
-    with pytest.raises(ValueError):
-        OrderingExpansion(n=1, coeffs=(1,), kind="sideways")
+        OrderingExpansion(n=2, coeffs=(1,))
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=40))

@@ -226,6 +226,10 @@ def test_checkpoint_round_trip(tmp_path):
         {"wall_seconds": True},
         {"finished": "yes"},
         {"finished": True},
+        {"lo": 3.5},
+        {"hi": float("inf")},
+        {"counterexamples": [7.5]},
+        {"histogram": [0.5] + [0] * 255},
     ],
 )
 def test_checkpoint_rejects_bad_payloads(mutation):
@@ -245,6 +249,45 @@ def test_checkpoint_rejects_missing_key_and_non_object():
         checkpoint_from_json("[]")
     with pytest.raises(CheckpointFormatError):
         checkpoint_from_json("{not json")
+
+
+def checkpoint_schema():
+    from importlib import resources
+
+    return json.loads(resources.files("kurepa.data").joinpath("checkpoint-schema.json").read_text())
+
+
+def _as_ints(value):
+    return [int(v) for v in value] if isinstance(value, list) else int(value)
+
+
+@pytest.mark.parametrize(
+    "floats",
+    [
+        {"version": 1.0},
+        {"lo": 3.0, "hi": 100.0, "last_completed": 50.0},
+        {"counterexamples": [7.0, 11.0]},
+        {"histogram": [2.0] + [0.0] * 255},
+    ],
+)
+def test_checkpoint_accepts_integral_floats(floats):
+    # JSON Schema's "integer" admits 3.0, so the loader does too, and stores int
+    import jsonschema
+
+    payload = valid_payload(**floats)
+    jsonschema.validate(payload, checkpoint_schema())
+    ck = checkpoint_from_json(json.dumps(payload))
+    ints = checkpoint_from_json(json.dumps(valid_payload(**{k: _as_ints(v) for k, v in floats.items()})))
+    assert ck == ints
+    assert canonical_report(ck) == canonical_report(ints)
+
+
+def test_resume_from_integral_float_checkpoint(tmp_path):
+    cp = tmp_path / "cp.json"
+    payload = valid_payload(lo=3.0, hi=2_000.0, last_completed=500.0, version=1.0)
+    cp.write_text(json.dumps(payload))
+    resumed = run_search(3, 2_000, checkpoint_path=str(cp))
+    assert canonical_report(resumed) == canonical_report(run_search(3, 2_000))
 
 
 def test_finished_checkpoint_must_be_complete():
@@ -409,15 +452,11 @@ def test_checkpoint_histogram_mismatch_is_rejected(tmp_path):
 
 def test_search_checkpoint_file_is_schema_valid(tmp_path):
     import jsonschema
-    from importlib import resources
 
-    schema = json.loads(
-        resources.files("kurepa.data").joinpath("checkpoint-schema.json").read_text()
-    )
     cp = str(tmp_path / "cp.json")
     run_search(3, 4_000, checkpoint_path=cp, histogram=True)
     with open(cp) as fh:
-        jsonschema.validate(json.load(fh), schema)
+        jsonschema.validate(json.load(fh), checkpoint_schema())
 
 
 def test_to_json_round_trips():
