@@ -1,21 +1,23 @@
 """Residue search for left factorial counterexamples over prime ranges.
 
-A counterexample is an odd prime p with !p = 0 (mod p). The search sieves
-primes in [lo, hi), cuts them into blocks of consecutive primes, and
-computes each block's residues with one big-integer fold from 1 to the
-block's first prime modulo the product of its primes, followed by a descent
-down the block's product tree (the down-pass of Costa, Gerbicz and
-Harvey's accumulating remainder tree, "A search for Wilson primes", Math.
-Comp. 2014). Moduli of BARRETT_BITS or more are folded in long chunks and
-reduced by Barrett reduction (Barrett, CRYPTO '86). _block_results yields
-the blocks' results in block order, in process or through
+A counterexample is an odd prime p with !p = 0 (mod p). For a prime p, !p =
+D_(p-1) (mod p), where D is the derangement count (block_residues gives the
+proof), so the search carries one running residue, D_m, rather than the
+pair (m!, !m). It sieves primes in [lo, hi), cuts them into blocks of
+consecutive primes, and computes each block's residues with one big-integer
+fold of D from D_0 = 1 to D_(p0-1), p0 the block's first prime, modulo the
+product of its primes, followed by a descent down the block's product tree
+(the down-pass of Costa, Gerbicz and Harvey's accumulating remainder tree,
+"A search for Wilson primes", Math. Comp. 2014). Moduli of BARRETT_BITS or
+more are reduced by Barrett reduction (Barrett, CRYPTO '86). _block_results
+yields the blocks' results in block order, in process or through
 multiprocessing.Pool.imap, and one loop in run_search commits them, so a
-checkpoint always describes a clean prefix, also the one saved when the
-run is interrupted; an early exit terminates the pool's workers rather
-than waiting for their blocks. Waiting on the oldest block leaves no
-worker idle, because a later block folds further and so finishes later:
-on a 2-vCPU machine the four blocks of [3, 150064) take about 0.24, 0.45,
-0.65 and 0.50 s of CPU, the last holding 1564 primes, not 4096.
+checkpoint always describes a clean prefix, also the one saved when the run
+is interrupted; an early exit terminates the pool's workers rather than
+waiting for their blocks. Waiting on the oldest block leaves no worker
+idle, because a later block folds further and so finishes later: on a
+2-vCPU machine the four blocks of [3, 150064) take about 0.19, 0.37, 0.52
+and 0.32 s of CPU, the last holding 1564 primes, not 4096.
 Reports are canonical: the same range yields byte-identical output no
 matter the worker count or how often the run was interrupted.
 """
@@ -38,7 +40,7 @@ HISTOGRAM_BUCKETS = 256
 # primes per block: the unit of work handed to a worker and of commit
 DEFAULT_LANES = 4096
 SIEVE_SEGMENT = 1 << 18
-# modulus width from which _advance reduces by Barrett in long chunks
+# modulus width from which _advance reduces by Barrett rather than %
 BARRETT_BITS = 16_000
 CHECKPOINT_INTERVAL = 30.0
 
@@ -81,55 +83,61 @@ def left_factorial_mod(p: int) -> int:
     return acc % p
 
 
-def _pair(a: int, b: int) -> tuple[int, int]:
-    """The exact pair of the steps [a, b): P = (a+1)...b and Q = the sum over
-    j in [a, b) of (a+1)...j, so that b! = a!*P and !b = !a + a!*Q.
+def _run(a: int, b: int) -> tuple[int, int]:
+    """The exact map of the steps (a, b] of D_m = m*D_(m-1) + (-1)^m: the
+    pair (A, B) with A = (a+1)...b, so that D_b = A*D_a + B.
 
     Runs of at most 64 steps are Horner leaves; longer runs split in half
-    and compose as (P1*P2, Q1 + P1*Q2), so the products are balanced.
+    and compose as (A1*A2, B1*A2 + B2), so the products are balanced.
     """
     if b - a <= 64:
-        q = 1
-        for k in range(b - 1, a, -1):
-            q = q * k + 1
+        q = 0
+        for k in range(a + 1, b + 1):
+            q = q * k - 1 if k & 1 else q * k + 1
         return math.prod(range(a + 1, b + 1)), q
     c = (a + b) // 2
-    p1, q1 = _pair(a, c)
-    p2, q2 = _pair(c, b)
-    return p1 * p2, q1 + p1 * q2
+    a1, b1 = _run(a, c)
+    a2, b2 = _run(c, b)
+    return a1 * a2, b1 * a2 + b2
 
 
-def _advance(f: int, s: int, m: int, end: int, modulus: int) -> tuple[int, int]:
-    """Move (f, s) = (m!, !m) mod modulus to (end!, !end) mod modulus.
+def _advance(d: int, m: int, end: int, modulus: int) -> int:
+    """Move d = D_m mod modulus to D_end mod modulus.
 
-    Each chunk [m, b) applies its exact pair: s <- s + f*Q, f <- f*P. The
-    route depends only on the modulus width k = modulus.bit_length():
+    Each chunk (m, b] of step = max(64, k // end.bit_length()) steps, where
+    k = modulus.bit_length(), applies its exact map: d <- d*A + B, one
+    product and one reduction. When the chunk is k // end.bit_length()
+    steps, as at every width from BARRETT_BITS on, A < 2**k and d*A is a
+    balanced product. Only the reduction depends on the width:
 
-    - below BARRETT_BITS, chunks of 64 steps reduced by %;
-    - from BARRETT_BITS on, chunks of k // end.bit_length() steps, so P has
-      at most k bits and f*P, f*Q are balanced products. They are reduced
-      by Barrett: with inv = 2**(2k) // modulus computed once,
-      q = ((x >> (k-1)) * inv) >> (k+1) never exceeds x // modulus, and
-      since x < 2**(2k) + 2**k it falls short by at most a few.
+    - below BARRETT_BITS, %;
+    - from BARRETT_BITS on, Barrett: with inv = 2**(2k) // modulus computed
+      once, q = ((x >> (k-1)) * inv) >> (k+1) never exceeds x // modulus,
+      and since 0 <= x < 2**(2k) + 2**(k+1) it falls short by at most a
+      few. On narrow moduli a 64-step A can have far more than k bits, and
+      the estimate would fall short by about x // 2**(2k) moduli.
 
-    Measured on 2 vCPUs with CPython 3.11, advancing 30 000 steps near 1e5:
-    the long Barrett chunks run 0.97x as fast as the 64-step ones at 8 000
-    bits, 1.14x at 16 000 and 1.8x at 68 000 (a full block's product).
-    Barrett's reduction alone loses to % on narrow moduli (0.6x at the
-    1 500 bits of a block above 1e6) and wins 1.8x at 48 000 bits.
+    Measured on 2 vCPUs with CPython 3.11, advancing 30 000 steps near 1e5
+    (medians of 7 alternating runs, three trials): Barrett runs 0.88-0.98x
+    as fast as % at 8 000 bits, 1.0-1.2x at 16 000 and 1.2-1.5x at 68 000
+    (a full block's product); near 1e6 at the 1 500 bits of a frontier
+    block, 0.89-0.98x.
     """
     k = modulus.bit_length()
+    step = max(64, k // end.bit_length())
     if k < BARRETT_BITS:
-        step = 64
 
         def reduce(x: int) -> int:
             return x % modulus
 
     else:
-        step = k // end.bit_length()
         inv = (1 << 2 * k) // modulus
 
         def reduce(x: int) -> int:
+            # B alternates in sign, and Barrett needs x >= 0. From m >= 1,
+            # |B| < A/(m+1) < 2**(k-1) <= modulus, so adding modulus is
+            # enough; the fold from m = 0 starts at D_0 = 1, so x = D_b >= 0.
+            x += modulus
             r = x - ((x >> (k - 1)) * inv >> (k + 1)) * modulus
             while r >= modulus:
                 r -= modulus
@@ -137,11 +145,10 @@ def _advance(f: int, s: int, m: int, end: int, modulus: int) -> tuple[int, int]:
 
     while m < end:
         b = min(m + step, end)
-        p, q = _pair(m, b)
-        s = reduce(s + f * q)
-        f = reduce(f * p)
+        a, c = _run(m, b)
+        d = reduce(d * a + c)
         m = b
-    return f, s
+    return d
 
 
 def _product_tree(moduli: Sequence[int]) -> tuple:
@@ -153,35 +160,42 @@ def _product_tree(moduli: Sequence[int]) -> tuple:
     return (left[0] * right[0], left, right)
 
 
-def _descend(f: int, s: int, moduli: Sequence[int], node: tuple, residues: list[int]) -> None:
-    # (f, s) = (m!, !m) mod node[0] at m = moduli[0]
+def _descend(d: int, moduli: Sequence[int], node: tuple, residues: list[int]) -> None:
+    # d = D_(m-1) mod node[0] at m = moduli[0]
     if len(node) == 1:
-        residues.append(s)
+        residues.append(d)
         return
     _, left, right = node
     half = len(moduli) // 2
-    _descend(f % left[0], s % left[0], moduli[:half], left, residues)
-    f, s = _advance(f % right[0], s % right[0], moduli[0], moduli[half], right[0])
-    _descend(f, s, moduli[half:], right, residues)
+    _descend(d % left[0], moduli[:half], left, residues)
+    d = _advance(d % right[0], moduli[0] - 1, moduli[half] - 1, right[0])
+    _descend(d, moduli[half:], right, residues)
 
 
 def block_residues(primes: Sequence[int]) -> list[int]:
-    """!p mod p for a strictly increasing block of moduli >= 2.
+    """!p mod p for a strictly increasing block of primes.
 
-    The block is folded once from 1 to its first modulus, modulo M, the
-    product of its moduli, and then split down its product tree: a node
-    holding (m!, !m) mod its product at its first modulus m hands the pair
-    reduced mod the left half's product to the left half, and advances it
-    mod the right half's product to the right half's first modulus. A
-    single modulus p then holds !p mod p. This holds for any increasing
-    moduli, because each modulus divides the product of every ancestor.
-    Compared with folding to every modulus mod M, each level of the
-    descent re-walks only the left halves' spans, mod products half the
-    size of the level above. The product tree costs about log2(len(primes))
-    copies of M's size, some 100 KB for a full block near 1.5e5.
-    _advance states the route each step takes: the fold and the top levels
-    of a full block are wide, a block above 1e6 with a few dozen primes is
-    narrow throughout.
+    For a prime p, !p = D_(p-1) (mod p), where D is the derangement count:
+    D_(p-1) is the sum over k < p of (-1)^k (p-1)!/k!, and
+    (p-1)!/k! = (-1)^(p-1-k) (p-1-k)! (mod p), so for odd p, with p - 1
+    even, the sum is !p; for p = 2 both sides are 0. D_m = m*D_(m-1) +
+    (-1)^m is one running value, where !m needs the pair (m!, !m). The
+    identity fails for composites (D_5 = 44 = 2 but !6 = 154 = 4 mod 6),
+    so the block must hold primes.
+
+    The block is folded once from D_0 = 1 to D_(p0-1), p0 its first prime,
+    modulo M, the product of its primes, and then split down its product
+    tree: a node holding D_(m-1) mod its product at its first prime m hands
+    it reduced mod the left half's product to the left half, and advances
+    it mod the right half's product to the right half's first prime. A
+    single prime p then holds D_(p-1) mod p. This holds because each
+    prime divides the product of every ancestor. Compared with folding to
+    every prime mod M, each level of the descent re-walks only the left
+    halves' spans, mod products half the size of the level above. The
+    product tree costs about log2(len(primes)) copies of M's size, some
+    100 KB for a full block near 1.5e5. _advance states the reduction each
+    step takes: the fold and the top levels of a full block are wide, a
+    block above 1e6 with a few dozen primes is narrow throughout.
     """
     if not primes:
         return []
@@ -190,9 +204,8 @@ def block_residues(primes: Sequence[int]) -> list[int]:
     if primes[0] < 2:
         raise ValueError("block_residues requires moduli >= 2")
     tree = _product_tree(primes)
-    f, s = _advance(1, 1, 1, primes[0], tree[0])
     residues: list[int] = []
-    _descend(f, s, primes, tree, residues)
+    _descend(_advance(1, 0, primes[0] - 1, tree[0]), primes, tree, residues)
     return residues
 
 

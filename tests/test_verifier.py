@@ -3,7 +3,6 @@
 import functools
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 import random
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kurepa import verifier
-from kurepa.sequences import bell, left_factorial
+from kurepa.sequences import bell, derangement, left_factorial
 from kurepa.verifier import (
     DEFAULT_LANES,
     CheckpointFormatError,
@@ -87,29 +86,32 @@ def test_block_residues_empty_block():
     assert block_residues([]) == []
 
 
+def test_left_factorial_is_a_derangement_count_mod_a_prime():
+    # the identity the kernel rests on: !p = D_(p-1) (mod p) for a prime p
+    for p in [p for p in ORACLE if p <= 2000]:
+        assert derangement(p - 1) % p == left_factorial_mod(p), p
+    # it fails for composites, so block_residues takes primes only:
+    # D_5 = 44 = 2 but !6 = 154 = 4 (mod 6)
+    assert (derangement(5) % 6, left_factorial_mod(6)) == (2, 4)
+
+
 # the scalar oracle, remembered across Hypothesis examples
 scalar_residue = functools.lru_cache(maxsize=None)(left_factorial_mod)
 
 
 @settings(max_examples=60)
-@given(st.sets(st.integers(min_value=2, max_value=3000), min_size=1, max_size=400))
-def test_block_residues_any_increasing_moduli(moduli):
-    # the descent holds for any increasing moduli >= 2, composite ones
-    # included; a few hundred moduli split through several levels
-    moduli = sorted(moduli)
-    assert block_residues(moduli) == [scalar_residue(m) for m in moduli]
+@given(st.sets(st.sampled_from([p for p in ORACLE if p < 3000]), min_size=1, max_size=400))
+def test_block_residues_any_increasing_primes(primes):
+    # a few hundred primes split through several levels of the descent
+    primes = sorted(primes)
+    assert block_residues(primes) == [scalar_residue(p) for p in primes]
 
 
-def plain_left_factorial(n):
-    """!n = 0! + 1! + ... + (n-1)!, summed term by term."""
-    total, term = 0, 1
-    for j in range(n):
-        total += term
-        term *= j + 1
-    return total
-
-
-ADVANCE_ENDS = [(n, math.factorial(n), plain_left_factorial(n)) for n in (700, 6_000)]
+def walk(x, m, end):
+    """Step x_k = k*x_(k-1) + (-1)^k from x_m to x_end, term by term."""
+    for k in range(m + 1, end + 1):
+        x = k * x + (-1) ** k
+    return x
 
 
 @pytest.mark.parametrize("bits", [verifier.BARRETT_BITS - 1, verifier.BARRETT_BITS, verifier.BARRETT_BITS + 1])
@@ -121,9 +123,13 @@ def test_advance_either_side_of_the_route_threshold(bits, shape):
         "high": (1 << bits) - 1,
         "random": random.Random(bits).getrandbits(bits) | (1 << (bits - 1)),
     }[shape]
-    (m, fm, sm), (end, fe, se) = ADVANCE_ENDS  # several chunks on either route
-    got = verifier._advance(fm % modulus, sm % modulus, m, end, modulus)
-    assert got == (fe % modulus, se % modulus)
+    m, end = 700, 6_000  # several chunks on either route
+    d = walk(1, 0, m)  # D_m
+    assert verifier._advance(d % modulus, m, end, modulus) == walk(d, m, end) % modulus
+    # from d = 0 the reduction sees the first chunk's constant B alone,
+    # which is negative when m + 1 is odd, as at m = 700
+    for start in (1, m):
+        assert verifier._advance(0, start, end, modulus) == walk(0, start, end) % modulus
 
 
 def test_block_residues_narrow_window_far_out():
@@ -344,6 +350,8 @@ def test_histogram_accumulates(tmp_path):
 GOLDEN_REPORTS = {
     (3, 30_000): "cc36ce02ed2ca6fba03ff2064e1a45817ec6c96bcb9e3be0321517209d48d6a9",
     (100_000, 102_000): "7c2426f8d908bb952b4a54eb676901632b24abf818773d7ec748036ae126280a",
+    # the frontier's shape: one block of 75 primes, narrow throughout
+    (1_000_000, 1_001_000): "3515270338fd6959ef20025c48566d9c3a26699c1a979565d1db2f7d6c8d7305",
 }
 
 
