@@ -2,12 +2,11 @@
 
 report's theorem 4.17 binary-gcd column uses gcd_stein; gcd_euclid is the
 plain division chain kept as the reference oracle; tests pin both to
-math.gcd. scan_altered takes no gcd of factorial-sized values: it reads
-each row's prime support from the residues !q mod q that the
-counterexample search computes, and each exponent from a walk modulo a
-prime power. Tests pin it to math.gcd over direct factorial sums. The
-module only computes: the published gcd claims are compared against these
-values in report.
+math.gcd. scan_altered walks the left factorials once and takes one gcd
+per row, of the shifted term and (n+1) times the previous row's value, so
+no factorial-sized term is ever paired with (n+1)!. Tests pin it to
+math.gcd over direct factorial sums. The module only computes: the
+published gcd claims are compared against these values in report.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .verifier import block_residues, sieve_primes
+from .sequences import factorial_states
 
 
 def gcd_euclid(a: int, b: int) -> int:
@@ -63,52 +62,30 @@ class AlteredScanRow:
 
 
 def scan_altered(a: int, ns: Iterable[int]) -> list[AlteredScanRow]:
-    """gcd(F_n + a, F_(n+1) + a) for n in `ns`, from the residues !q mod q.
+    """gcd(F_n + a, F_(n+1) + a) for n in `ns`, one recurrence step per row.
 
     F_0 = 0 and F_1 = 2, so row 0 is gcd(a, a + 2). For n >= 1, F_n = !(n+1)
-    and the terms differ by (n+1)!, so g(n) = gcd(!(n+1) + a, (n+1)!): the
-    product of q**e over the primes q <= n + 1, where
-    e = min(v_q(!(n+1) + a), v_q((n+1)!)).
+    and the terms differ by (n+1)!, so with x_n = F_n + a,
+    g(n) = gcd(x_n, (n+1)!) = gcd(x_n, (n+1) * g(n-1)):
 
-    Support: k! = 0 (mod q) for k >= q, so !(n+1) = !q (mod q) whenever
-    q <= n + 1. A prime q therefore divides g(n) exactly when q <= n + 1
-    and !q + a = 0 (mod q). block_residues gives !q mod q for every prime
-    q <= N = max(ns) + 1, and only the primes that pass are walked.
+    - x_n = x_(n-1) + n!, so gcd(x_n, n!) = gcd(x_(n-1), n!) = g(n-1).
+    - Write x_n = g(n-1) * u and n! = g(n-1) * v with gcd(u, v) = 1. Then
+      g(n) = g(n-1) * gcd(u, (n+1) * v) = g(n-1) * gcd(u, n+1), which is
+      gcd(x_n, (n+1) * g(n-1)).
+    - The seed is gcd(!1 + a, 1!) = 1. Row 0 is not the seed, because
+      F_1 - F_0 = 2 is not 1!.
 
-    Exponents: one walk per kept q carries (m!, !m) modulo q**E, where
-    E = v_q(N!), while Legendre's count v_q(m!) grows by v_q(m) at each m.
-    For x = !(n+1) + a and any e <= E, q**e divides x exactly when it
-    divides x mod q**E, so v_q(x mod q**E) = v_q(x) whenever it is below
-    E. A residue of 0 means v_q(x) >= E >= v_q((n+1)!), so the exponent is
-    that cap. No exact !n or n! is built.
+    The same step shows that g(n-1) divides g(n) for n >= 2. One walk of
+    factorial_states gives each x_n; the second gcd argument stays the
+    size of the row's value.
     """
     ns = list(ns)
     if any(n < 0 for n in ns):
         raise ValueError("scan_altered requires n >= 0")
-    top = max(ns, default=0) + 1  # N
-    values = [1] * top
-    values[0] = math.gcd(a, a + 2)
-    primes = list(sieve_primes(2, top + 1))
-    for q, r in zip(primes, block_residues(primes)):
-        if (r + a) % q:
-            continue
-        # q**E with E = v_q(N!) by Legendre: the sum of N // q**i
-        modulus = q ** sum(top // q**i for i in range(1, top.bit_length()))
-        shift = a % modulus
-        f = s = 1  # (m!, !m) mod modulus at m = 1
-        cap = 0  # v_q(m!), by Legendre's count
-        for m in range(2, top + 1):
-            s = (s + f) % modulus
-            f = f * m % modulus
-            k = m
-            while k % q == 0:
-                k //= q
-                cap += 1
-            if m >= q:
-                # row n = m - 1; a residue of 0 counts up to the cap
-                x, e = (s + shift) % modulus, 0
-                while e < cap and x % q == 0:
-                    x //= q
-                    e += 1
-                values[m - 1] *= q**e
+    values = [math.gcd(a, a + 2)]
+    g = 1  # gcd(!1 + a, 1!)
+    for s in factorial_states(2, max(ns, default=0) + 1):
+        # s.left = !(n+1) = F_n at s.n = n + 1
+        g = math.gcd(s.left + a, s.n * g)
+        values.append(g)
     return [AlteredScanRow(n=n, a=a, value=values[n]) for n in ns]

@@ -150,6 +150,8 @@ def test_json_big_integers_survive(capsys):
         ("log", "0"),
         ("log", "5", "--base", "7"),
         ("seq", "bell", "0", "5", "--digits", "0"),
+        ("log", "8", "--digits", "1001"),
+        ("physics", "occupation", "--digits", "1001"),
         ("physics", "sideways"),
         (),
     ],
@@ -170,6 +172,12 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "seq" in out
+
+
+def test_digits_at_the_bound_runs(capsys):
+    code, out, _ = run(capsys, "log", "8", "--digits", "1000")
+    assert code == 0
+    assert len(out.strip().replace(".", "")) == 1000
 
 
 def test_max_n_cap(monkeypatch, capsys):
@@ -359,12 +367,11 @@ def test_every_exported_name_resolves():
 
 
 # subcommands that must run on the standard library alone, the real-valued
-# ones included, and the layers each must not load; gcd-scan reads its prime
-# support from verifier's residues
+# ones included, and the layers each must not load
 EXACT_COMMANDS = {
     ("verify", "3", "3000", "--workers", "2"): ("report", "decomp", "gcdlab", "physics"),
     ("seq", "bell", "0", "8"): ("verifier", "report", "decomp", "gcdlab", "physics"),
-    ("gcd-scan", "4", "200"): ("report", "decomp", "physics"),
+    ("gcd-scan", "4", "200"): ("verifier", "report", "decomp", "physics"),
     ("decomp", "5914"): ("verifier", "report", "gcdlab", "physics"),
     ("physics", "ordering"): ("verifier", "report", "decomp", "gcdlab"),
     ("report", "--format", "csv"): (),

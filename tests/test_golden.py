@@ -5,9 +5,14 @@ package printed it before the sequence families were rebuilt on shared
 streams; any change to the bytes of these tables fails here. The
 `gcd-scan 4 4999` pin was taken from the direct route, one math.gcd of
 gcd(F_n + a, (n+1)!) per row, before the scan moved to prime residues.
+The `gcd-scan 5 4999` pin (its gcd passes 2**30, so it takes CPython's
+multi-digit gcd) and the exact-zero pin at a = -F_40 (rows 39 and 40 are
+40! and 41!) were taken from the prime-residue route, before the scan
+became the recurrence g(n) = gcd(F_n + a, (n+1) * g(n-1)).
 """
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +27,9 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
 # a 3000-digit target drawn once with random.randrange(10**2999, 10**3000)
 with open(os.path.join(os.path.dirname(__file__), "data", "decomp_target.txt")) as fh:
     DECOMP_TARGET = int(fh.read())
+
+# F_40 = !41 = 0! + 1! + ... + 40!; a = -F_40 zeroes the term F_40 + a
+MINUS_F40 = -sum(math.factorial(k) for k in range(41))
 
 GOLDEN_CSV = [
     (("seq", "factorial", "0", "1200"), "0501d88a46702e16288eb9d97a467efaaedc2b361762c5b98cc74f9699aec961"),
@@ -38,6 +46,8 @@ GOLDEN_CSV = [
     (("gcd-scan", "4", "1499"), "fdb933e78b617941dffb76590ff999eb9f83a57103c51b34650e0de22fbd088a"),
     (("gcd-scan", "4", "4999"), "6d7bd090a58bcc0be3e87a325fd466b727b2c699bc680dbbe46a1910972865f5"),
     (("gcd-scan", "2", "600"), "0a35fa7755b717eb3631c53ce6db9c99bf54ee2567c41c4e95a4eb1d68d2e178"),
+    (("gcd-scan", "5", "4999"), "07870ae29c82756fb1be0fa8efb8e1c12b671dc7492603729e4942de095f2dca"),
+    (("gcd-scan", str(MINUS_F40), "1499"), "b7dfb1cb11c133999e856e5410e9dab572819641c64b47b56b0a8bab1086565d"),
     (("decomp", str(DECOMP_TARGET)), "7ea8b7a756da5768e0da693daf7e1ea023055f1e1648fdf34f3a91e355c2bf88"),
 ]
 
