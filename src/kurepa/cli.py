@@ -5,7 +5,12 @@ gcd scans, the modular counterexample search, the physics identity checks,
 and the consolidated discrepancy report. Each one writes a single table to
 stdout or --out, rendered as plain text, comma separated values, or a JSON
 envelope {command, columns, rows, summary} that validates against
-data/output-schema.json.
+data/output-schema.json. The renderers are line generators, and main writes
+each line as it is produced, so output memory is one line plus the table's
+values, however long the table. Before the destination is opened, main
+checks the widest int the format will print against the interpreter's
+int-to-str digit limit, so a table that cannot be printed exits 2 without
+writing a byte or creating the --out file.
 
 Exit codes: 0 success, 10 counterexample found, 2 usage, 3 I/O, 130 Ctrl-C.
 """
@@ -13,12 +18,12 @@ Exit codes: 0 success, 10 counterexample found, 2 usage, 3 I/O, 130 Ctrl-C.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
 from decimal import localcontext
-from typing import Iterable
+from fractions import Fraction
+from typing import Iterable, Iterator
 
 # SEQUENCES holds functions of sequences and efactor; every other layer is
 # imported by the builder that runs it, so a subcommand loads only its own
@@ -75,7 +80,9 @@ class Table:
     """One subcommand's output: tabular cells plus a plain rendering.
 
     `plain` may be lazy: only the plain format reads it, so values whose text
-    is costly (big ints) are converted once, by whichever renderer runs.
+    is costly (big ints) are converted once, by whichever renderer runs. The
+    plain lines print only values that the cells hold, so the cells (and,
+    for JSON, the summary) bound every int that any format prints.
     """
 
     command: str
@@ -86,31 +93,76 @@ class Table:
     exit_code: int = EXIT_OK
 
 
-def _json_cell(cell):
-    if isinstance(cell, EScaled):
-        return {"coeff": str(cell.coeff), "epower": cell.epower}
-    return cell
+def _json_default(cell):
+    """The JSON form of EScaled, the one cell type json cannot encode itself."""
+    if not isinstance(cell, EScaled):
+        raise TypeError(f"cannot encode {type(cell).__name__} as JSON")
+    return {"coeff": str(cell.coeff), "epower": cell.epower}
+
+
+def _csv_lines(columns, rows) -> Iterator[str]:
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
+
+
+def _json_chunks(table: Table) -> Iterator[str]:
+    # only the json format pays for this import
+    import json
+
+    payload = {"command": table.command, "columns": table.columns, "rows": table.rows, "summary": table.summary}
+    # json.dumps with an indent runs this same pure-Python encoder, so the bytes match it
+    yield from json.JSONEncoder(indent=2, default=_json_default).iterencode(payload)
+    yield "\n"
+
+
+def _plain_lines(lines) -> Iterator[str]:
+    return (line + "\n" for line in lines)
 
 
 def render_csv(columns, rows) -> str:
     """Comma separated, no quoting (cells never contain commas), LF endings."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(str(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_lines(columns, rows))
 
 
 def render_json(table: Table) -> str:
-    payload = {
-        "command": table.command,
-        "columns": table.columns,
-        "rows": [[_json_cell(cell) for cell in row] for row in table.rows],
-        "summary": table.summary,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return "".join(_json_chunks(table))
 
 
 def render_plain(lines) -> str:
-    return "".join(line + "\n" for line in lines)
+    return "".join(_plain_lines(lines))
+
+
+def _ints(cells) -> Iterator[int]:
+    """Every int printed for cells: ints, the terms of fractions, and what lists and dicts hold."""
+    for cell in cells:
+        if isinstance(cell, EScaled):
+            cell = cell.coeff
+        if isinstance(cell, Fraction):
+            yield cell.numerator
+            yield cell.denominator
+        elif isinstance(cell, int):
+            yield cell
+        elif isinstance(cell, list):
+            yield from _ints(cell)
+        elif isinstance(cell, dict):
+            yield from _ints(cell.values())
+
+
+def _check_printable(args, table: Table) -> None:
+    """Raise the interpreter's own ValueError if the format would print a too-wide int.
+
+    CPython refuses str(x) once x has more than sys.get_int_max_str_digits()
+    digits (0 means no limit), which holds exactly when |x| >= 10**limit.
+    Interpreters before 3.10.7 have no limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    printed = [table.rows, table.summary] if args.format == "json" else table.rows
+    widest = max(map(abs, _ints(printed)), default=0)
+    if widest >= 10**limit:
+        str(widest)
 
 
 def _max_n() -> int:
@@ -391,20 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(args, table: Table) -> str:
+def _lines(args, table: Table) -> Iterator[str]:
     if args.format == "csv":
-        return render_csv(table.columns, table.rows)
+        return _csv_lines(table.columns, table.rows)
     if args.format == "json":
-        return render_json(table)
-    return render_plain(table.plain)
+        return _json_chunks(table)
+    return _plain_lines(table.plain)
 
 
-def _write(args, text: str) -> None:
+def _write(args, lines: Iterator[str]) -> None:
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(lines)
 
 
 def main(argv=None) -> int:
@@ -415,7 +467,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         table = _BUILDERS[args.command](args)
-        text = _render(args, table)
+        _check_printable(args, table)
+        _write(args, _lines(args, table))
     except (UsageError, ValueError) as exc:
         print(f"kurepa: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -427,11 +480,6 @@ def main(argv=None) -> int:
         saved = f"; progress saved in {checkpoint}" if checkpoint else ""
         print(f"kurepa: interrupted{saved}", file=sys.stderr)
         return EXIT_INTERRUPTED
-    try:
-        _write(args, text)
-    except OSError as exc:
-        print(f"kurepa: {exc}", file=sys.stderr)
-        return EXIT_IO
     return table.exit_code
 
 

@@ -10,14 +10,14 @@ product of its primes, followed by a descent down the block's product tree
 (the down-pass of Costa, Gerbicz and Harvey's accumulating remainder tree,
 "A search for Wilson primes", Math. Comp. 2014). Moduli of BARRETT_BITS or
 more are reduced by Barrett reduction (Barrett, CRYPTO '86). _block_results
-yields the blocks' results in block order, in process or through
-multiprocessing.Pool.imap, and one loop in run_search commits them, so a
-checkpoint always describes a clean prefix, also the one saved when the run
-is interrupted; an early exit terminates the pool's workers rather than
-waiting for their blocks. Waiting on the oldest block leaves no worker
-idle, because a later block folds further and so finishes later: on a
-2-vCPU machine the four blocks of [3, 150064) take about 0.19, 0.37, 0.52
-and 0.32 s of CPU, the last holding 1564 primes, not 4096.
+yields the blocks' results in block order, in process (one worker or one
+block) or through multiprocessing.Pool.imap, and one loop in run_search
+commits them, so a checkpoint always describes a clean prefix, also the one
+saved when the run is interrupted; an early exit terminates the pool's
+workers rather than waiting for their blocks. Waiting on the oldest block
+leaves no worker idle, because a later block folds further and so finishes
+later: on a 2-vCPU machine the four blocks of [3, 150064) take about 0.19,
+0.37, 0.52 and 0.32 s of CPU, the last holding 1564 primes, not 4096.
 Reports are canonical: the same range yields byte-identical output no
 matter the worker count or how often the run was interrupted.
 """
@@ -30,7 +30,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Sequence
 
 from .sequences import bell_rows
@@ -340,7 +340,8 @@ def _chunked(it: Iterator[int], size: int) -> Iterator[list[int]]:
 def _block_results(blocks: Iterator[list[int]], workers: int) -> Iterator[tuple[int, list[int], list[int]]]:
     """Yield _block_worker(block) for each block, in block order.
 
-    One worker runs each block in process. Several workers share a
+    One worker, or a single block, runs in process: a pool would only add
+    its import, the forks and a pipe. Otherwise the workers share a
     multiprocessing.Pool, whose imap hands out blocks first in, first out
     and yields their results in block order, so the oldest block is always
     the one awaited. That costs no parallelism: each block folds further
@@ -354,7 +355,9 @@ def _block_results(blocks: Iterator[list[int]], workers: int) -> Iterator[tuple[
     kills the workers instead of waiting for the blocks they run, whose
     results nobody would commit, so the caller's save follows at once.
     """
-    if workers == 1:
+    head = list(islice(blocks, 2))
+    blocks = chain(head, blocks)
+    if workers == 1 or len(head) < 2:
         yield from map(_block_worker, blocks)
         return
     # the pool import costs about 20 ms, so only a parallel run pays it

@@ -7,6 +7,8 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -14,6 +16,7 @@ import pytest
 
 from kurepa import cli
 from kurepa.cli import main, render_csv
+from kurepa.efactor import EScaled
 from kurepa.sequences import bell
 
 
@@ -108,6 +111,117 @@ def test_json_outputs_validate(capsys, output_schema, argv):
     assert code == 0
     payload = json.loads(out)
     jsonschema.validate(payload, output_schema)
+
+
+RENDERERS = {
+    "plain": lambda table: cli.render_plain(table.plain),
+    "csv": lambda table: cli.render_csv(table.columns, table.rows),
+    "json": cli.render_json,
+}
+
+
+@pytest.mark.parametrize("fmt", list(RENDERERS))
+@pytest.mark.parametrize("argv", ALL_JSON_COMMANDS, ids=lambda a: "_".join(a))
+def test_streamed_file_equals_the_rendered_string(tmp_path, capsys, argv, fmt):
+    target = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *argv, "--format", fmt, "--out", str(target))
+    assert code == 0
+    assert out == ""
+    args = cli.build_parser().parse_args([*argv, "--format", fmt])
+    expected = RENDERERS[fmt](cli._BUILDERS[args.command](args))
+    assert target.read_bytes().decode("utf-8") == expected
+
+
+def test_out_file_needs_less_memory_than_its_size(tmp_path):
+    # the table is written line by line, so the text never sits in memory whole
+    target = tmp_path / "derangements.txt"
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        code = main(["seq", "derangement", "0", "1499", "--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = target.stat().st_size
+    assert size > 2_000_000
+    assert peak - start < size
+
+
+# ways a seq value can carry an int of a given width: plain, negative, and as
+# the numerator or the denominator of an EScaled coefficient
+WIDE_CELLS = [
+    pytest.param("bell", lambda x: x, id="int"),
+    pytest.param("bell", lambda x: -x, id="negative"),
+    pytest.param("dobinski", lambda x: EScaled(Fraction(x, 7), 1), id="numerator"),
+    pytest.param("dobinski", lambda x: EScaled(Fraction(1, x), 1), id="denominator"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("name, wrap", WIDE_CELLS)
+def test_digit_limit_is_checked_exactly(tmp_path, capsys, monkeypatch, name, wrap, fmt):
+    target = tmp_path / "out.txt"
+    # 10**4300 - 1 has 4300 digits, the most the interpreter converts
+    monkeypatch.setitem(cli.SEQUENCES, name, (lambda n: wrap(10**4300 - 1 if n == 2 else n + 1), 0))
+    code, out, _ = run(capsys, "seq", name, "0", "2", "--format", fmt)
+    assert code == 0
+    assert "9" * 4300 in out
+    monkeypatch.setitem(cli.SEQUENCES, name, (lambda n: wrap(10**4300 if n == 2 else n + 1), 0))
+    code, out, err = run(capsys, "seq", name, "0", "2", "--format", fmt, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "Exceeds the limit (4300 digits)" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_only_json_prints_the_summary_ints(tmp_path, capsys, monkeypatch, fmt):
+    target = tmp_path / "out.txt"
+
+    def build(width):
+        return lambda args: cli.Table("log", ["n"], [[1]], {"n": 10**width}, ["1"])
+
+    monkeypatch.setitem(cli._BUILDERS, "log", build(4299))
+    assert run(capsys, "log", "1", "--format", fmt)[0] == 0
+    monkeypatch.setitem(cli._BUILDERS, "log", build(4300))
+    code, _, err = run(capsys, "log", "1", "--format", fmt, "--out", str(target))
+    if fmt == "json":
+        assert code == 2
+        assert "Exceeds the limit (4300 digits)" in err
+        assert not target.exists()
+    else:
+        assert code == 0
+        assert target.exists()
+
+
+@pytest.mark.parametrize("exc, expected", [(KeyboardInterrupt, 130), (OSError, 3), (ValueError, 2)])
+def test_errors_while_writing_keep_their_exit_codes(tmp_path, capsys, monkeypatch, exc, expected):
+    # rows are converted to text as they are written, after the first lines went out
+    class Failing(int):
+        def __str__(self):
+            raise exc("raised while writing")
+
+    monkeypatch.setitem(cli.SEQUENCES, "bell", (lambda n: Failing(n) if n == 2 else n, 0))
+    code, out, err = run(capsys, "seq", "bell", "0", "3", "--out", str(tmp_path / "out.txt"))
+    assert code == expected
+    assert out == ""
+    assert err.startswith("kurepa: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_no_digit_limit_prints_5000_digits(capsys, monkeypatch, fmt):
+    monkeypatch.setitem(cli.SEQUENCES, "bell", (lambda n: 10**4999, 0))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run(capsys, "seq", "bell", "0", "0", "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert "1" + "0" * 4999 in out
 
 
 def test_report_json_carries_notes(capsys, output_schema):
@@ -331,7 +445,7 @@ def python(code: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
 
 
-@pytest.mark.parametrize("module", ["numpy", "multiprocessing", "mpmath"])
+@pytest.mark.parametrize("module", ["numpy", "multiprocessing", "mpmath", "json"])
 def test_cli_import_does_not_load(module):
     proc = python(f"import kurepa.cli, sys; assert {module!r} not in sys.modules")
     assert proc.returncode == 0, proc.stderr
@@ -367,9 +481,10 @@ def test_every_exported_name_resolves():
 
 
 # subcommands that must run on the standard library alone, the real-valued
-# ones included, and the layers each must not load
+# ones included, and the modules each must not load: kurepa layers by their
+# short name, then top-level modules. verify's one block runs in process.
 EXACT_COMMANDS = {
-    ("verify", "3", "3000", "--workers", "2"): ("report", "decomp", "gcdlab", "physics"),
+    ("verify", "3", "3000", "--workers", "2"): ("report", "decomp", "gcdlab", "physics", "multiprocessing"),
     ("seq", "bell", "0", "8"): ("verifier", "report", "decomp", "gcdlab", "physics"),
     ("gcd-scan", "4", "200"): ("verifier", "report", "decomp", "physics"),
     ("decomp", "5914"): ("verifier", "report", "gcdlab", "physics"),
@@ -394,8 +509,8 @@ def test_subcommand_imports(argv):
     assert proc.returncode == 0, proc.stderr
     code, *loaded = proc.stdout.split()
     assert code == "0"
-    for name in (*(f"kurepa.{layer}" for layer in EXACT_COMMANDS[argv]), "mpmath"):
-        assert name not in loaded, name
+    for name in (*EXACT_COMMANDS[argv], "mpmath"):
+        assert name not in loaded and f"kurepa.{name}" not in loaded, name
 
 
 @pytest.mark.parametrize("argv", list(EXACT_COMMANDS), ids=lambda a: "_".join(a[:2]))

@@ -9,6 +9,12 @@ The `gcd-scan 5 4999` pin (its gcd passes 2**30, so it takes CPython's
 multi-digit gcd) and the exact-zero pin at a = -F_40 (rows 39 and 40 are
 40! and 41!) were taken from the prime-residue route, before the scan
 became the recurrence g(n) = gcd(F_n + a, (n+1) * g(n-1)).
+
+GOLDEN_OTHER pins the JSON and plain bytes of a Bell table, a Dobinski
+table (EScaled cells), the 3000-digit decomposition and the report, taken
+with `python -m kurepa <args> --format json|plain` while the renderers still
+built each table as one string, before they became line generators that
+write as they go.
 """
 
 import hashlib
@@ -51,13 +57,24 @@ GOLDEN_CSV = [
     (("decomp", str(DECOMP_TARGET)), "7ea8b7a756da5768e0da693daf7e1ea023055f1e1648fdf34f3a91e355c2bf88"),
 ]
 
+GOLDEN_OTHER = [
+    ("json", ("seq", "bell", "0", "300"), "2c3e14c0c16b73132ad58556a68ccaa6067beaaa453b7b02bc5498154ba9bda9"),
+    ("json", ("seq", "dobinski", "0", "50"), "2bddb5e4ec19f8c028e1bac0f06bafd804edf57f468980e004f0b18697272a38"),
+    ("json", ("decomp", str(DECOMP_TARGET)), "918b2b9055cacb9c64f22f6efd9faa69c426d11bef8559ba8d2ee3a84bc9f9ee"),
+    ("json", ("report",), "9f628628014475dd197868f57234b9b9b243d194183b2fcf579223d9caeb191c"),
+    ("plain", ("seq", "bell", "0", "300"), "bc25a1d60ace8bdb42f7aebb1b13dcd219e54d07ab6b7e8c56b174be3a752942"),
+    ("plain", ("seq", "dobinski", "0", "50"), "5263fb74fdb7c7b22a6903bb2fd74dac30a210ba385fa636e5768700ccde09cc"),
+    ("plain", ("decomp", str(DECOMP_TARGET)), "3635e4f3209ad09295c164e823ab8c65411a2c42ccb5cacf1cade4ddc4c6ec36"),
+    ("plain", ("report",), "b06562c8d54ba2dcb5a6f4b86bf218d60f78313bdba95db741afdeccab46d529"),
+]
+
 REPORT_CSV_MD5 = "33affc09420c27073fa96628d3833ba0"
 
 
-def kurepa_csv(*argv: str) -> bytes:
+def kurepa_out(fmt: str, *argv: str) -> bytes:
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
     proc = subprocess.run(
-        [sys.executable, "-m", "kurepa", *argv, "--format", "csv"],
+        [sys.executable, "-m", "kurepa", *argv, "--format", fmt],
         capture_output=True,
         env=env,
     )
@@ -67,11 +84,18 @@ def kurepa_csv(*argv: str) -> bytes:
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_CSV, ids=[" ".join(argv)[:40] for argv, _ in GOLDEN_CSV])
 def test_golden_csv(argv, digest):
-    assert hashlib.sha256(kurepa_csv(*argv)).hexdigest() == digest
+    assert hashlib.sha256(kurepa_out("csv", *argv)).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "fmt,argv,digest", GOLDEN_OTHER, ids=[f"{fmt} {' '.join(argv)[:30]}" for fmt, argv, _ in GOLDEN_OTHER]
+)
+def test_golden_json_and_plain(fmt, argv, digest):
+    assert hashlib.sha256(kurepa_out(fmt, *argv)).hexdigest() == digest
 
 
 def test_report_csv_md5():
-    assert hashlib.md5(kurepa_csv("report")).hexdigest() == REPORT_CSV_MD5
+    assert hashlib.md5(kurepa_out("csv", "report")).hexdigest() == REPORT_CSV_MD5
 
 
 # sha256 of every row's claim id and note; the csv carries no note column

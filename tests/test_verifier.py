@@ -317,7 +317,10 @@ def test_search_finds_no_counterexamples_below_2e4():
     assert ck.last_completed == 20_000
 
 
-def test_worker_counts_agree():
+def test_worker_counts_agree(monkeypatch):
+    # [3, 20000) is one DEFAULT_LANES block, which runs in process; smaller
+    # blocks send it through the pool
+    monkeypatch.setattr(verifier, "DEFAULT_LANES", 256)
     a = run_search(3, 20_000, workers=1)
     b = run_search(3, 20_000, workers=3)
     assert canonical_report(a) == canonical_report(b)
