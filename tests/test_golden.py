@@ -9,6 +9,9 @@ The `gcd-scan 5 4999` pin (its gcd passes 2**30, so it takes CPython's
 multi-digit gcd) and the exact-zero pin at a = -F_40 (rows 39 and 40 are
 40! and 41!) were taken from the prime-residue route, before the scan
 became the recurrence g(n) = gcd(F_n + a, (n+1) * g(n-1)).
+The `physics debruijn` pins, in csv, json and plain, were taken while
+ln Bell_n came from the exact Bell number, before it came from Dobinski's
+series.
 
 GOLDEN_OTHER pins the JSON and plain bytes of a Bell table, a Dobinski
 table (EScaled cells), the 3000-digit decomposition and the report, taken
@@ -55,6 +58,7 @@ GOLDEN_CSV = [
     (("gcd-scan", "5", "4999"), "07870ae29c82756fb1be0fa8efb8e1c12b671dc7492603729e4942de095f2dca"),
     (("gcd-scan", str(MINUS_F40), "1499"), "b7dfb1cb11c133999e856e5410e9dab572819641c64b47b56b0a8bab1086565d"),
     (("decomp", str(DECOMP_TARGET)), "7ea8b7a756da5768e0da693daf7e1ea023055f1e1648fdf34f3a91e355c2bf88"),
+    (("physics", "debruijn"), "52a9d8bd1d645133bd4146c9df4cee508eddeb134984430663b7e6f6044eabc7"),
 ]
 
 GOLDEN_OTHER = [
@@ -66,6 +70,8 @@ GOLDEN_OTHER = [
     ("plain", ("seq", "dobinski", "0", "50"), "5263fb74fdb7c7b22a6903bb2fd74dac30a210ba385fa636e5768700ccde09cc"),
     ("plain", ("decomp", str(DECOMP_TARGET)), "3635e4f3209ad09295c164e823ab8c65411a2c42ccb5cacf1cade4ddc4c6ec36"),
     ("plain", ("report",), "b06562c8d54ba2dcb5a6f4b86bf218d60f78313bdba95db741afdeccab46d529"),
+    ("json", ("physics", "debruijn"), "100d575f5a30a3b2dee9d90364f58e1cf3434f25f182bb132beecca63fec6526"),
+    ("plain", ("physics", "debruijn"), "2d600803fb1e0a507b5bb224e9586343ece3553b30a2ea09735ac1b8ec50c3b0"),
 ]
 
 REPORT_CSV_MD5 = "33affc09420c27073fa96628d3833ba0"
