@@ -513,6 +513,25 @@ def test_subcommand_imports(argv):
         assert name not in loaded and f"kurepa.{name}" not in loaded, name
 
 
+@pytest.mark.parametrize("argv", [("physics", "debruijn"), ("report", "--format", "csv")], ids=lambda a: a[0])
+def test_growth_rows_build_no_big_bell_number(argv):
+    # ln Bell_n comes from Dobinski's series; the exact memo keeps the
+    # Bell_0..Bell_9 that other rows read, not the 1001 rows of Bell_1000
+    proc = python(
+        "import contextlib, io, sys\n"
+        "from kurepa.cli import main\n"
+        "from kurepa.sequences import _bell_memo\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, len(_bell_memo[1][0]))\n",
+        *argv,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, held = proc.stdout.split()
+    assert code == "0"
+    assert int(held) <= 10
+
+
 @pytest.mark.parametrize("argv", list(EXACT_COMMANDS), ids=lambda a: "_".join(a[:2]))
 def test_exact_subcommands_need_only_the_stdlib(capsys, argv):
     # a None entry in sys.modules makes every `import mpmath` raise ImportError

@@ -4,13 +4,14 @@ import math
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from kurepa.decomp import greedy_bell_decomposition, kurepa_sequence_sum
 from kurepa.discrepancy import MATCH, MISMATCH
 from kurepa.efactor import GUARD_DIGITS, format_significant
 from kurepa.physics import (
+    DEBRUIJN_SAMPLE_N,
     PLANCK_DIGITS,
     PLANCK_SAMPLE_X,
     OrderingExpansion,
@@ -21,6 +22,8 @@ from kurepa.physics import (
     occupation,
     planck_identity_gap,
     planck_routes,
+    _dobinski_partial,
+    _ln_bell,
 )
 from kurepa.report import physics_rows
 from kurepa.sequences import bell, stirling2
@@ -164,7 +167,8 @@ def test_planck_identity_gap_validation():
 
 
 def test_debruijn_bound_check_matches():
-    for n in (10, 100, 300, 1000):
+    # at n = 5000 the triangle would need 5001 rows; the series stops at K = 899
+    for n in (10, 100, 300, 1000, 5000):
         rep = debruijn_bound_check(n)
         assert rep.status == MATCH, rep.as_line()
         assert rep.claim_id == f"growth.debruijn.n{n}"
@@ -175,6 +179,38 @@ def test_debruijn_notes_flag_small_n():
     assert debruijn_bound_check(10).note == "below the asymptotic regime; informational"
     with pytest.raises(ValueError):
         debruijn_bound_check(9)
+
+
+@pytest.mark.parametrize("n", [10.5, 12.0])
+def test_debruijn_rejects_a_float_n(n):
+    # an integral float too: K ** n would quietly run in floats
+    with pytest.raises(TypeError):
+        debruijn_bound_check(n)
+
+
+def _ln_bell_agrees_with_the_triangle(n):
+    with localcontext() as ctx:
+        ctx.prec = PLANCK_DIGITS + GUARD_DIGITS
+        assert _ln_bell(n) == Decimal(bell(n)).ln(), n
+        partial, k = _dobinski_partial(n)
+    if n <= 300:
+        # N_K <= K! e Bell_n <= N_K + K^n; e is irrational, so the floor
+        # read at enough digits places K! e Bell_n strictly between them
+        scaled = bell(n) * math.factorial(k)
+        with mp.workdps(len(str(scaled)) + 20):
+            floor = int(mp.floor(mp.e * scaled))
+        assert partial <= floor < partial + k**n, n
+
+
+@pytest.mark.parametrize("n", DEBRUIJN_SAMPLE_N)
+def test_ln_bell_at_the_sample_points(n):
+    _ln_bell_agrees_with_the_triangle(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=10, max_value=400))
+def test_ln_bell_sweep(n):
+    _ln_bell_agrees_with_the_triangle(n)
 
 
 def test_debruijn_envelope_width_decreases():
