@@ -17,8 +17,6 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _EXPORTS = {
-    "Basis": "decomp",
-    "Decomposition": "decomp",
     "greedy_bell_decomposition": "decomp",
     "kurepa_sequence_sum": "decomp",
     "MATCH": "discrepancy",
@@ -31,7 +29,6 @@ _EXPORTS = {
     "gcd_euclid": "gcdlab",
     "gcd_stein": "gcdlab",
     "full_report": "report",
-    "mismatches": "report",
     "bell": "sequences",
     "complementary_bell": "sequences",
     "derangement": "sequences",

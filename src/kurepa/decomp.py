@@ -1,64 +1,32 @@
 """Decompositions of left-factorial values over Bell-type bases.
 
-The unsigned (Bell) basis admits a greedy canonical form, which the
-`decomp` subcommand prints. Published decompositions over either basis,
-signed (complementary Bell) included, are only checked: report re-sums the
-terms of the bundled fixtures and compares them with their targets.
+A decomposition is a tuple of (index, coefficient) pairs, and a basis is
+named by a string. The unsigned (Bell) basis admits a greedy canonical
+form, which the `decomp` subcommand prints. Published decompositions over
+either basis, signed (complementary Bell) included, are only checked: report
+re-sums the terms of the bundled fixtures, (label, value, basis, terms)
+tuples, and compares them with their targets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from enum import Enum
 
 from .efactor import GUARD_DIGITS, format_significant
 from .sequences import bell, complementary_bell, factorial_states, left_factorial
 
-
-class Basis(str, Enum):
-    BELL = "bell"
-    DOBINSKI = "dobinski"
-    INVBELL = "invbell"
-    INVDOBINSKI = "invdobinski"
+# basis name -> the integer coefficient of its element k; the dobinski basis
+# is the Bell basis on the e scale, Bell_k e = sum_j j^k/j!
+_BASES = {"bell": bell, "dobinski": bell, "invbell": complementary_bell}
 
 
-def basis_coefficient(basis: Basis, index: int) -> int:
+def basis_coefficient(basis: str, index: int) -> int:
     """Integer coefficient of basis element `index` (the e power is implied)."""
-    if basis in (Basis.BELL, Basis.DOBINSKI):
-        return bell(index)
-    return complementary_bell(index)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """A verified sum of basis elements: sum of coeff * basis[index] = target.
-
-    terms are (index, coeff) pairs with strictly decreasing indices and
-    coeff >= 1; the identity is checked on construction.
-    """
-
-    basis: Basis
-    terms: tuple[tuple[int, int], ...]
-    target: int
-
-    def __post_init__(self) -> None:
-        basis = Basis(self.basis)
-        object.__setattr__(self, "basis", basis)
-        terms = tuple((int(i), int(c)) for i, c in self.terms)
-        object.__setattr__(self, "terms", terms)
-        last = None
-        for index, coeff in terms:
-            if index < 0 or coeff < 1:
-                raise ValueError("terms need index >= 0 and coeff >= 1")
-            if last is not None and index >= last:
-                raise ValueError("term indices must strictly decrease")
-            last = index
-        total = sum(c * basis_coefficient(basis, i) for i, c in terms)
-        if total != self.target:
-            raise ValueError(
-                f"decomposition does not sum to its target: {total} != {self.target}"
-            )
+    try:
+        coefficient = _BASES[basis]
+    except KeyError:
+        raise ValueError(f"unknown basis {basis!r}") from None
+    return coefficient(index)
 
 
 def greedy_bell_decomposition(target: int) -> tuple[tuple[int, int], ...]:
@@ -113,21 +81,12 @@ def log_left_factorial(n: int, base="e", digits: int = 15) -> str:
         return format_significant(ln, digits)
 
 
-@dataclass(frozen=True)
-class DecompositionFixture:
-    """One published decomposition row: label, target value, basis, raw terms."""
-
-    label: str
-    value: int
-    basis: Basis
-    terms: tuple[tuple[int, int], ...]
-
-
-def load_fixtures() -> tuple[DecompositionFixture, ...]:
+def load_fixtures() -> tuple[tuple[str, int, str, tuple[tuple[int, int], ...]], ...]:
     """Published decomposition rows from the bundled plain-text data file.
 
     Format: one row per line, `target_label target_value basis idx:coeff ...`;
-    blank lines and # comments are skipped.
+    blank lines and # comments are skipped. Each row comes back as
+    (label, value, basis, terms), terms being the printed (index, coeff) pairs.
     """
     from importlib import resources
 
@@ -145,9 +104,5 @@ def load_fixtures() -> tuple[DecompositionFixture, ...]:
         terms = tuple(
             (int(i), int(c)) for i, c in (pair.split(":") for pair in raw)
         )
-        out.append(
-            DecompositionFixture(
-                label=label, value=int(value), basis=Basis(basis), terms=terms
-            )
-        )
+        out.append((label, int(value), basis, terms))
     return tuple(out)

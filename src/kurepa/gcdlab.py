@@ -54,10 +54,9 @@ def gcd_stein(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class AlteredScanRow:
-    """One scan cell: value = gcd(F_n + a, F_{n+1} + a)."""
+    """One scan cell: value = gcd(F_n + a, F_{n+1} + a) for the scan's shift a."""
 
     n: int
-    a: int
     value: int
 
 
@@ -88,4 +87,4 @@ def scan_altered(a: int, ns: Iterable[int]) -> list[AlteredScanRow]:
         # s.left = !(n+1) = F_n at s.n = n + 1
         g = math.gcd(s.left + a, s.n * g)
         values.append(g)
-    return [AlteredScanRow(n=n, a=a, value=values[n]) for n in ns]
+    return [AlteredScanRow(n=n, value=values[n]) for n in ns]

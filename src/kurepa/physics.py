@@ -49,14 +49,12 @@ def falling(m: int, k: int) -> int:
 class OrderingExpansion:
     """Coefficients of (a+)^k a^k, k = 1..n, for one ordering of (a+ a)^n."""
 
-    n: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("OrderingExpansion requires n >= 1")
-        if len(self.coeffs) != self.n:
-            raise ValueError("need one coefficient per k = 1..n")
+    @property
+    def n(self) -> int:
+        """The order n of (a+ a)^n: one coefficient per k = 1..n."""
+        return len(self.coeffs)
 
     def coefficient(self, k: int) -> int:
         if not 1 <= k <= self.n:
@@ -72,7 +70,7 @@ def normal_ordering(n: int) -> OrderingExpansion:
     """(a+ a)^n = sum_k S(n,k) (a+)^k a^k; coefficients are Stirling numbers."""
     if n < 1:
         raise ValueError("normal_ordering requires n >= 1")
-    return OrderingExpansion(n=n, coeffs=tuple(stirling2(n, k) for k in range(1, n + 1)))
+    return OrderingExpansion(tuple(stirling2(n, k) for k in range(1, n + 1)))
 
 
 def antinormal_ordering(n: int) -> OrderingExpansion:
@@ -80,7 +78,7 @@ def antinormal_ordering(n: int) -> OrderingExpansion:
     if n < 1:
         raise ValueError("antinormal_ordering requires n >= 1")
     coeffs = tuple((-1) ** (n - k) * stirling2(n, k) for k in range(1, n + 1))
-    return OrderingExpansion(n=n, coeffs=coeffs)
+    return OrderingExpansion(coeffs)
 
 
 def _cancelling(x: Decimal):

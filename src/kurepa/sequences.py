@@ -1,7 +1,8 @@
 """Exact integer sequences around the left factorial.
 
-Everything here is exact: plain Python ints and dense integer polynomials.
-Two streams carry the running state. `factorial_states` steps n! together
+Everything here is exact: plain Python ints, and each polynomial as the
+tuple of its integer coefficients, constant term first. Two streams carry
+the running state. `factorial_states` steps n! together
 with !n, the alternating sum and D_n, so a table of any of them costs one
 big-integer step per row; the point functions roll one cached state forward
 with the same step. `bell_rows` builds Aitken's array for
@@ -16,8 +17,6 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
@@ -182,54 +181,26 @@ def derangement(n: int) -> int:
     return _state(n).derangement
 
 
-@dataclass(frozen=True)
-class DensePoly:
-    """Dense integer polynomial: coeffs[k] is the coefficient of x^k.
-
-    The zero polynomial is the empty tuple; otherwise the leading
-    coefficient is nonzero.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        c = tuple(self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        # degree of the zero polynomial is -1 by convention
-        return len(self.coeffs) - 1
-
-    def eval(self, x: int | Fraction) -> int | Fraction:
-        """Exact Horner evaluation."""
-        acc: int | Fraction = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def touchard_poly(n: int) -> DensePoly:
-    """Polynomial with coefficient S(n, k) on x^k."""
+def touchard_poly(n: int) -> tuple[int, ...]:
+    """Ascending coefficients S(n, 0), ..., S(n, n); the last is S(n, n) = 1."""
     if n < 0:
         raise ValueError("touchard_poly requires n >= 0")
-    return DensePoly(tuple(_stirling(n)))
+    # a copy: the cached row is the state the next _stirling call rolls on
+    return tuple(_stirling(n))
 
 
-def fubini_poly(n: int) -> DensePoly:
-    """Ordered-set-partition polynomial: coefficient k! * S(n, k) on x^k."""
+def fubini_poly(n: int) -> tuple[int, ...]:
+    """Ordered-set-partition polynomial: ascending coefficients k! * S(n, k), k = 0..n."""
     if n < 0:
         raise ValueError("fubini_poly requires n >= 0")
-    return DensePoly(tuple(s.factorial * v for s, v in zip(factorial_states(), _stirling(n))))
+    return tuple(s.factorial * v for s, v in zip(factorial_states(), _stirling(n)))
 
 
-def kurepa_poly(n: int) -> DensePoly:
-    """Degree-n polynomial with coefficient k! on x^k; at x = 1 it sums to !(n+1)."""
+def kurepa_poly(n: int) -> tuple[int, ...]:
+    """Ascending coefficients 0!, 1!, ..., n!; at x = 1 the polynomial sums to !(n+1)."""
     if n < 0:
         raise ValueError("kurepa_poly requires n >= 0")
-    return DensePoly(tuple(s.factorial for s in factorial_states(0, n)))
+    return tuple(s.factorial for s in factorial_states(0, n))
 
 
 def factorial_sum(n: int) -> int:

@@ -24,7 +24,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from kurepa.decomp import Basis, Decomposition, greedy_bell_decomposition
+from kurepa.decomp import greedy_bell_decomposition
 from kurepa.discrepancy import MATCH, MISMATCH
 from kurepa.gcdlab import gcd_euclid, gcd_stein, scan_altered
 from kurepa.physics import debruijn_bound_check, normal_ordering, planck_identity_gap
@@ -233,7 +233,8 @@ def test_criterion_06_decomposition_round_trip():
         target = left_factorial(n)
         terms = greedy_bell_decomposition(target)
         assert sum(c * bell(i) for i, c in terms) == target
-        Decomposition(basis=Basis.BELL, terms=terms, target=target)
+        assert all(i > j for (i, _), (j, _) in zip(terms, terms[1:]))
+        assert all(c >= 1 for _, c in terms)
 
     rng = random.Random(1729)
     for _ in range(10_000):

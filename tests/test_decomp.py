@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kurepa.decomp import (
-    Basis,
-    Decomposition,
     alt_kurepa_sequence_sum,
     basis_coefficient,
     greedy_bell_decomposition,
@@ -18,21 +16,13 @@ from kurepa.sequences import bell, complementary_bell, left_factorial
 
 
 def test_basis_coefficients():
-    assert basis_coefficient(Basis.BELL, 4) == 15
-    assert basis_coefficient(Basis.DOBINSKI, 4) == 15
-    assert basis_coefficient(Basis.INVBELL, 5) == -2
-    assert basis_coefficient(Basis.INVDOBINSKI, 5) == complementary_bell(5)
-
-
-def test_decomposition_validates_on_construction():
-    d = Decomposition(basis=Basis.BELL, terms=((3, 2), (1, 4)), target=14)
-    assert d.target == 14
-    with pytest.raises(ValueError):
-        Decomposition(basis=Basis.BELL, terms=((3, 2), (3, 1)), target=15)
-    with pytest.raises(ValueError):
-        Decomposition(basis=Basis.BELL, terms=((3, 0),), target=0)
-    with pytest.raises(ValueError):
-        Decomposition(basis=Basis.BELL, terms=((3, 1),), target=6)
+    assert basis_coefficient("bell", 4) == 15
+    assert basis_coefficient("dobinski", 4) == 15
+    assert basis_coefficient("invbell", 5) == -2 == complementary_bell(5)
+    # no fixture uses the signed Dobinski basis, so it has no name here
+    for name in ("invdobinski", "Bell", ""):
+        with pytest.raises(ValueError, match="unknown basis"):
+            basis_coefficient(name, 4)
 
 
 def _rescan_greedy(target):
@@ -72,13 +62,8 @@ def test_greedy_round_trips(target):
     terms = greedy_bell_decomposition(target)
     assert sum(c * bell(i) for i, c in terms) == target
     indices = [i for i, _ in terms]
-    assert indices == sorted(indices, reverse=True)
-    assert all(c >= 1 for _, c in terms)
-
-
-@given(st.integers(min_value=0, max_value=10**9))
-def test_greedy_is_a_valid_decomposition(target):
-    Decomposition(basis=Basis.BELL, terms=greedy_bell_decomposition(target), target=target)
+    assert all(i > j for i, j in zip(indices, indices[1:]))
+    assert all(i >= 1 and c >= 1 for i, c in terms)
 
 
 def test_sequence_sums():
@@ -103,19 +88,19 @@ def test_verify_decomposition_accepts_published_terms():
 
 
 def test_fixture_terms_are_nonnegative():
-    for fx in load_fixtures():
-        assert all(i >= 0 and c >= 0 for i, c in fx.terms), fx.label
+    for label, _, _, terms in load_fixtures():
+        assert all(i >= 0 and c >= 0 for i, c in terms), label
 
 
 def test_fixture_catalogue():
     fixtures = load_fixtures()
     assert len(fixtures) == 22
-    by_label = {f.label: f for f in fixtures}
-    k8e = by_label["t2.k8e"]
-    assert k8e.value == 5914
-    assert k8e.basis == Basis.DOBINSKI
+    by_label = {label: (value, basis) for label, value, basis, _ in fixtures}
+    assert by_label["t2.k8e"] == (5914, "dobinski")
+    # the only bases the fixtures use
+    assert sorted({basis for _, _, basis, _ in fixtures}) == ["bell", "dobinski", "invbell"]
     rows = {r.claim_id: r for r in decomposition_rows()}
-    assert list(rows) == [f.label for f in fixtures]
+    assert list(rows) == list(by_label)
     rep = rows["t2.k8e"]
     assert (rep.location, rep.claimed, rep.computed, rep.status) == (
         "sec3.table2", "5914", "652", "mismatch"

@@ -17,7 +17,10 @@ GOLDEN_OTHER pins the JSON and plain bytes of a Bell table, a Dobinski
 table (EScaled cells), the 3000-digit decomposition and the report, taken
 with `python -m kurepa <args> --format json|plain` while the renderers still
 built each table as one string, before they became line generators that
-write as they go.
+write as they go. The JSON envelope of the report carries the row notes, so
+its pin and REPORT_NOTES_SHA256 were retaken when the note on
+table10.nextplus1.n0 was corrected; the report's csv and plain bytes did not
+change.
 """
 
 import hashlib
@@ -65,7 +68,7 @@ GOLDEN_OTHER = [
     ("json", ("seq", "bell", "0", "300"), "2c3e14c0c16b73132ad58556a68ccaa6067beaaa453b7b02bc5498154ba9bda9"),
     ("json", ("seq", "dobinski", "0", "50"), "2bddb5e4ec19f8c028e1bac0f06bafd804edf57f468980e004f0b18697272a38"),
     ("json", ("decomp", str(DECOMP_TARGET)), "918b2b9055cacb9c64f22f6efd9faa69c426d11bef8559ba8d2ee3a84bc9f9ee"),
-    ("json", ("report",), "9f628628014475dd197868f57234b9b9b243d194183b2fcf579223d9caeb191c"),
+    ("json", ("report",), "f36adfe1710f6afff7cff6fc01f8ff8da824a908ba8f968ea2ff3ed0cad9a3f1"),
     ("plain", ("seq", "bell", "0", "300"), "bc25a1d60ace8bdb42f7aebb1b13dcd219e54d07ab6b7e8c56b174be3a752942"),
     ("plain", ("seq", "dobinski", "0", "50"), "5263fb74fdb7c7b22a6903bb2fd74dac30a210ba385fa636e5768700ccde09cc"),
     ("plain", ("decomp", str(DECOMP_TARGET)), "3635e4f3209ad09295c164e823ab8c65411a2c42ccb5cacf1cade4ddc4c6ec36"),
@@ -105,7 +108,7 @@ def test_report_csv_md5():
 
 
 # sha256 of every row's claim id and note; the csv carries no note column
-REPORT_NOTES_SHA256 = "58be83ee1046d252027a2c997190b63f6befbc6b4a73d2f7eee1daf3d277ecd6"
+REPORT_NOTES_SHA256 = "4949455ac7ebbc3d275a285d6da6dbbcb3e1b0dbaea01e9de61bdec3ab52fa2f"
 
 
 def test_report_notes_sha256():

@@ -14,7 +14,6 @@ from kurepa.physics import (
     DEBRUIJN_SAMPLE_N,
     PLANCK_DIGITS,
     PLANCK_SAMPLE_X,
-    OrderingExpansion,
     antinormal_ordering,
     debruijn_bound_check,
     falling,
@@ -78,10 +77,11 @@ def test_coefficient_accessor_bounds():
 
 
 def test_ordering_expansion_validation():
-    with pytest.raises(ValueError):
-        OrderingExpansion(n=0, coeffs=())
-    with pytest.raises(ValueError):
-        OrderingExpansion(n=2, coeffs=(1,))
+    # the order is the coefficient count, and both orderings start at n = 1
+    assert normal_ordering(5).n == antinormal_ordering(5).n == 5
+    for ordering in (normal_ordering, antinormal_ordering):
+        with pytest.raises(ValueError):
+            ordering(0)
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=40))

@@ -7,11 +7,12 @@ import pytest
 from kurepa.discrepancy import MATCH, MISMATCH, DiscrepancyReport
 from kurepa.report import (
     full_report,
-    mismatches,
     table1_rows,
     table4_rows,
     table7_rows,
+    table10_rows,
 )
+from kurepa.sequences import factorial_sum
 
 # Every published claim that recomputation contradicts: regenerating the
 # report must reproduce exactly this set, nothing more, nothing less.
@@ -115,12 +116,12 @@ def test_statuses_are_valid(report):
 
 
 def test_mismatch_set_is_frozen(report):
-    got = tuple(r.claim_id for r in mismatches(report))
+    got = tuple(r.claim_id for r in report if r.status == MISMATCH)
     assert got == EXPECTED_MISMATCH_IDS
 
 
 def test_every_mismatch_carries_both_values(report):
-    for r in mismatches(report):
+    for r in [r for r in report if r.status == MISMATCH]:
         assert r.claimed, r.claim_id
         assert r.computed, r.claim_id
         assert r.claimed != r.computed, r.claim_id
@@ -146,6 +147,18 @@ def test_table4_single_mismatch():
     rows = table4_rows()
     bad = [r for r in rows if r.status == MISMATCH]
     assert [r.claim_id for r in bad] == ["table4.wagstaff.n0"]
+
+
+def test_nextplus1_notes_say_what_was_printed():
+    rows = {r.claim_id: r for r in table10_rows() if r.claim_id.startswith("table10.nextplus1.")}
+    for n in range(1, 9):
+        rep = rows[f"table10.nextplus1.n{n}"]
+        assert rep.claimed == str(factorial_sum(n) + 1)
+        assert rep.note == "printed row repeats f_n + 1 rather than advancing the index"
+    # at the origin the printed 2 is f_1, not f_0 + 1 = 1
+    rep = rows["table10.nextplus1.n0"]
+    assert rep.claimed == str(factorial_sum(1)) != str(factorial_sum(0) + 1)
+    assert "f_1" in rep.note and "f_n + 1" not in rep.note
 
 
 def test_table7_polynomial_rows_flagged():

@@ -4,14 +4,12 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import kurepa
 from kurepa.sequences import (
-    DensePoly,
     alt_left_factorial,
     bell,
     complementary_bell,
@@ -131,7 +129,7 @@ def test_stirling_row_after_a_higher_row():
     # the rolling row is at 40 here; asking for row 5 rebuilds from row 0
     assert stirling2(40, 1) == 1
     assert [stirling2(5, k) for k in range(6)] == [0, 1, 15, 25, 10, 1]
-    assert touchard_poly(4).coeffs == (0, 1, 7, 6, 1)
+    assert touchard_poly(4) == (0, 1, 7, 6, 1)
     assert stirling2(41, 40) == math.comb(41, 2)
 
 
@@ -185,39 +183,34 @@ def test_derangement_recurrence(n):
 
 
 def test_touchard_poly_at_special_points():
-    assert touchard_poly(4).coeffs == (0, 1, 7, 6, 1)
+    assert touchard_poly(4) == (0, 1, 7, 6, 1)
     for n in range(12):
-        assert touchard_poly(n).eval(1) == bell(n)
-        assert touchard_poly(n).eval(-1) == complementary_bell(n)
+        coeffs = touchard_poly(n)
+        assert sum(coeffs) == bell(n)
+        assert sum((-1) ** k * c for k, c in enumerate(coeffs)) == complementary_bell(n)
+
+
+def test_touchard_poly_does_not_share_the_stirling_row():
+    want = [stirling2(6, k) for k in range(7)]
+    coeffs = touchard_poly(6)
+    with pytest.raises(TypeError):
+        coeffs[1] = 99
+    assert [stirling2(6, k) for k in range(7)] == want
 
 
 def test_fubini_poly():
-    assert fubini_poly(3).coeffs == (0, 1, 6, 6)
+    assert fubini_poly(3) == (0, 1, 6, 6)
     # ordered Bell numbers at x = 1
-    assert [fubini_poly(n).eval(1) for n in range(6)] == [1, 1, 3, 13, 75, 541]
+    assert [sum(fubini_poly(n)) for n in range(6)] == [1, 1, 3, 13, 75, 541]
 
 
 def test_kurepa_poly():
-    assert kurepa_poly(0).coeffs == (1,)
-    assert kurepa_poly(3).coeffs == (1, 1, 2, 6)
+    assert kurepa_poly(0) == (1,)
+    assert kurepa_poly(3) == (1, 1, 2, 6)
     for n in range(10):
-        assert kurepa_poly(n).eval(1) == left_factorial(n + 1)
-
-
-def test_dense_poly_trims_and_evaluates():
-    p = DensePoly((1, 2, 0, 0))
-    assert p.coeffs == (1, 2)
-    assert p.degree == 1
-    assert DensePoly(()).degree == -1
-    assert DensePoly((0, 0)).coeffs == ()
-    assert p.eval(Fraction(1, 2)) == 2
-    assert p.eval(3) == 7
-
-
-@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=8), st.integers(-9, 9))
-def test_dense_poly_eval_matches_naive_sum(coeffs, x):
-    p = DensePoly(tuple(coeffs))
-    assert p.eval(x) == sum(c * x**k for k, c in enumerate(coeffs))
+        assert sum(kurepa_poly(n)) == left_factorial(n + 1)
+        # at x = -1 the signed sum is the alternating left factorial one index up
+        assert sum((-1) ** k * c for k, c in enumerate(kurepa_poly(n))) == alt_left_factorial(n + 1)
 
 
 def test_consecutive_factorial_sum():
