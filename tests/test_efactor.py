@@ -25,6 +25,12 @@ def test_zero_is_canonical():
     z = EScaled(0, 7)
     assert z.epower == 0
     assert str(z) == "0*e^0"
+    assert EScaled(0, 5) == EScaled(0, 0)
+
+
+def test_coefficient_is_a_fraction():
+    assert EScaled(3, 1).coeff == 3
+    assert isinstance(EScaled(3, 1).coeff, Fraction)
 
 
 def test_add_same_power():

@@ -211,6 +211,7 @@ def test_note_excluded_from_equality():
     a = DiscrepancyReport("x", "y", "1", "1", MATCH, note="first")
     b = DiscrepancyReport("x", "y", "1", "1", MATCH, note="second")
     assert a == b
+    assert a != DiscrepancyReport("x", "y", "1", "2", MISMATCH, note="first")
 
 
 def test_report_is_deterministic(report):

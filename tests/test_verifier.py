@@ -473,6 +473,14 @@ def test_search_checkpoint_file_is_schema_valid(tmp_path):
 def test_to_json_round_trips():
     ck = SearchCheckpoint(lo=3, hi=50, last_completed=10, counterexamples=[7])
     assert checkpoint_from_json(ck.to_json()) == ck
+    assert checkpoint_from_json(ck.to_json()) != SearchCheckpoint(lo=3, hi=50, last_completed=11, counterexamples=[7])
+
+
+def test_checkpoints_do_not_share_a_counterexample_list():
+    a = SearchCheckpoint(lo=3, hi=9, last_completed=3)
+    b = SearchCheckpoint(lo=3, hi=9, last_completed=3)
+    a.counterexamples.append(5)
+    assert b.counterexamples == []
 
 
 def start_verify_then_interrupt(tmp_path, workers, group=False):
