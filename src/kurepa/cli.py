@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from decimal import localcontext
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -75,7 +74,6 @@ class UsageError(Exception):
     """Bad arguments caught after parsing: wrong range, capped size."""
 
 
-@dataclass
 class Table:
     """One subcommand's output: tabular cells plus a plain rendering.
 
@@ -85,12 +83,12 @@ class Table:
     for JSON, the summary) bound every int that any format prints.
     """
 
-    command: str
-    columns: list[str]
-    rows: list[list]
-    summary: dict
-    plain: Iterable[str]
-    exit_code: int = EXIT_OK
+    __slots__ = ("command", "columns", "rows", "summary", "plain", "exit_code")
+
+    def __init__(self, command: str, columns: list[str], rows: list[list], summary: dict,
+                 plain: Iterable[str], exit_code: int = EXIT_OK) -> None:
+        self.command, self.columns, self.rows, self.summary = command, columns, rows, summary
+        self.plain, self.exit_code = plain, exit_code
 
 
 def _json_default(cell):

@@ -8,29 +8,31 @@ claim_id,location,claimed,computed,status needs no quoting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 MATCH = "match"
 MISMATCH = "mismatch"
 
 
-@dataclass(frozen=True)
 class DiscrepancyReport:
-    claim_id: str
-    location: str
-    claimed: str
-    computed: str
-    status: str
-    note: str = field(default="", compare=False)
+    """One checked claim; equality compares the five line fields, not the note."""
 
-    def __post_init__(self) -> None:
-        if self.status not in (MATCH, MISMATCH):
-            raise ValueError(f"status must be match or mismatch, got {self.status!r}")
+    __slots__ = ("claim_id", "location", "claimed", "computed", "status", "note")
+
+    def __init__(self, claim_id: str, location: str, claimed: str, computed: str, status: str, note: str = "") -> None:
+        if status not in (MATCH, MISMATCH):
+            raise ValueError(f"status must be match or mismatch, got {status!r}")
+        self.claim_id, self.location, self.claimed, self.computed = claim_id, location, claimed, computed
+        self.status, self.note = status, note
+
+    def _fields(self) -> tuple[str, ...]:
+        return (self.claim_id, self.location, self.claimed, self.computed, self.status)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DiscrepancyReport):
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def as_line(self) -> str:
-        return ",".join(
-            (self.claim_id, self.location, self.claimed, self.computed, self.status)
-        )
+        return ",".join(self._fields())
 
 
 def compare(claim_id: str, location: str, claimed, computed, note: str = "") -> DiscrepancyReport:

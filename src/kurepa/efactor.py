@@ -9,7 +9,6 @@ decimal with GUARD_DIGITS more digits than format_significant prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context
 from fractions import Fraction
 
@@ -19,18 +18,19 @@ from .sequences import bell, complementary_bell
 GUARD_DIGITS = 10
 
 
-@dataclass(frozen=True)
 class EScaled:
     """q * e^s. The zero value is canonicalized to (0, 0)."""
 
-    coeff: Fraction
-    epower: int
+    __slots__ = ("coeff", "epower")
 
-    def __post_init__(self) -> None:
-        c = self.coeff if isinstance(self.coeff, Fraction) else Fraction(self.coeff)
-        object.__setattr__(self, "coeff", c)
-        if c == 0:
-            object.__setattr__(self, "epower", 0)
+    def __init__(self, coeff: Fraction | int, epower: int) -> None:
+        self.coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+        self.epower = epower if self.coeff else 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EScaled):
+            return NotImplemented
+        return (self.coeff, self.epower) == (other.coeff, other.epower)
 
     def __add__(self, other: "EScaled") -> "EScaled":
         if not isinstance(other, EScaled):

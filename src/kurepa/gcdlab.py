@@ -12,8 +12,7 @@ published gcd claims are compared against these values in report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .sequences import factorial_states
 
@@ -52,8 +51,7 @@ def gcd_stein(a: int, b: int) -> int:
     return factor * (u or v)
 
 
-@dataclass(frozen=True)
-class AlteredScanRow:
+class AlteredScanRow(NamedTuple):
     """One scan cell: value = gcd(F_n + a, F_{n+1} + a) for the scan's shift a."""
 
     n: int

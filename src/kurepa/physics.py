@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from decimal import MAX_EMAX, Decimal, getcontext, localcontext
 
 from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
@@ -45,11 +44,13 @@ def falling(m: int, k: int) -> int:
     return math.perm(m, k)
 
 
-@dataclass(frozen=True)
 class OrderingExpansion:
     """Coefficients of (a+)^k a^k, k = 1..n, for one ordering of (a+ a)^n."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        self.coeffs = coeffs
 
     @property
     def n(self) -> int:

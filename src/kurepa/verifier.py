@@ -27,9 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time
-from dataclasses import dataclass, field, fields, replace
 from itertools import chain, islice
 from typing import Iterator, Sequence
 
@@ -209,25 +207,37 @@ def block_residues(primes: Sequence[int]) -> list[int]:
     return residues
 
 
-@dataclass
+_CHECKPOINT_KEYS = ("lo", "hi", "last_completed", "counterexamples", "histogram", "wall_seconds", "finished", "version")
+
+
 class SearchCheckpoint:
     """Resumable search state: primes in [lo, last_completed) are done."""
 
-    lo: int
-    hi: int
-    last_completed: int
-    counterexamples: list[int] = field(default_factory=list)
-    histogram: list[int] | None = None
-    wall_seconds: float = 0.0
-    finished: bool = False
-    version: int = CHECKPOINT_VERSION
+    __slots__ = _CHECKPOINT_KEYS
+
+    def __init__(
+        self,
+        lo: int,
+        hi: int,
+        last_completed: int,
+        counterexamples: list[int] | None = None,
+        histogram: list[int] | None = None,
+        wall_seconds: float = 0.0,
+        finished: bool = False,
+        version: int = CHECKPOINT_VERSION,
+    ) -> None:
+        self.lo, self.hi, self.last_completed = lo, hi, last_completed
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.histogram, self.wall_seconds, self.finished, self.version = histogram, wall_seconds, finished, version
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SearchCheckpoint):
+            return NotImplemented
+        return all(getattr(self, key) == getattr(other, key) for key in _CHECKPOINT_KEYS)
 
     def to_json(self) -> str:
         payload = {key: getattr(self, key) for key in _CHECKPOINT_KEYS}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-_CHECKPOINT_KEYS = tuple(f.name for f in fields(SearchCheckpoint))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -295,6 +305,9 @@ def load_checkpoint(path: str) -> SearchCheckpoint:
 
 def save_checkpoint(ck: SearchCheckpoint, path: str) -> None:
     """Write atomically: temp file in the same directory, then replace."""
+    # only a run with a checkpoint pays for this import, which loads random and shutil
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".checkpoint-", suffix=".tmp")
     try:
@@ -420,18 +433,20 @@ def run_search(
     try:
         for end, cex, block_hist in _block_results(blocks, workers):
             # one rebinding per block, so an interrupt never saves half a block
-            ck = replace(
-                ck,
-                last_completed=end,
-                counterexamples=ck.counterexamples + cex,
-                histogram=None if ck.histogram is None else [a + b for a, b in zip(ck.histogram, block_hist)],
+            ck = SearchCheckpoint(
+                lo,
+                hi,
+                end,
+                ck.counterexamples + cex,
+                None if ck.histogram is None else [a + b for a, b in zip(ck.histogram, block_hist)],
+                ck.wall_seconds,
             )
             now = time.monotonic()
             if checkpoint_path is not None and now - last_save >= CHECKPOINT_INTERVAL:
                 ck.wall_seconds = base_wall + (now - started)
                 save_checkpoint(ck, checkpoint_path)
                 last_save = now
-        ck = replace(ck, last_completed=hi, finished=True)
+        ck = SearchCheckpoint(lo, hi, hi, ck.counterexamples, ck.histogram, ck.wall_seconds, finished=True)
     finally:
         ck.wall_seconds = base_wall + (time.monotonic() - started)
         if checkpoint_path is not None:

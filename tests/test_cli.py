@@ -436,18 +436,34 @@ def test_console_script_help():
         assert name in proc.stdout, name
 
 
-def python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run `python -c code args` on this source tree in a fresh interpreter."""
+def python(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """Run `python flags -c code args` on this source tree in a fresh interpreter."""
     import kurepa
 
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
     env = dict(os.environ, PYTHONPATH=src_dir)
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True, text=True, env=env)
 
 
-@pytest.mark.parametrize("module", ["numpy", "multiprocessing", "mpmath", "json"])
+# dataclasses loads inspect, ast, dis and tokenize, about 12 ms per process
+@pytest.mark.parametrize("module", ["numpy", "multiprocessing", "mpmath", "json", "dataclasses", "inspect"])
 def test_cli_import_does_not_load(module):
     proc = python(f"import kurepa.cli, sys; assert {module!r} not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_without_checkpoint_does_not_load_tempfile():
+    # -S skips site, whose .pth files may load tempfile on their own
+    proc = python(
+        "import contextlib, io, sys\n"
+        "import kurepa.verifier\n"
+        "from kurepa.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', '3', '3000'])\n"
+        "assert code == 0, code\n"
+        "assert 'tempfile' not in sys.modules\n",
+        flags=("-S",),
+    )
     assert proc.returncode == 0, proc.stderr
 
 
@@ -509,7 +525,7 @@ def test_subcommand_imports(argv):
     assert proc.returncode == 0, proc.stderr
     code, *loaded = proc.stdout.split()
     assert code == "0"
-    for name in (*EXACT_COMMANDS[argv], "mpmath"):
+    for name in (*EXACT_COMMANDS[argv], "mpmath", "dataclasses"):
         assert name not in loaded and f"kurepa.{name}" not in loaded, name
 
 
