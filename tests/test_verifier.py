@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -13,7 +14,7 @@ import time
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kurepa import verifier
 from kurepa.sequences import bell, derangement, left_factorial
@@ -112,6 +113,30 @@ def walk(x, m, end):
     for k in range(m + 1, end + 1):
         x = k * x + (-1) ** k
     return x
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(min_value=0, max_value=2_000_000),
+    # runs either side of the 128-step leaf, a leaf, and a few splits
+    st.one_of(st.sampled_from([0, 1, 127, 128, 129]), st.integers(min_value=0, max_value=600)),
+    st.integers(min_value=0, max_value=600),
+)
+@example(0, 0, 0)
+@example(4, 127, 60)
+@example(5, 127, 0)
+@example(1_000_000, 128, 128)
+@example(999_999, 128, 64)
+@example(6, 129, 1)
+@example(7, 129, 128)
+def test_run_is_the_exact_map_of_its_steps(a, length, cut):
+    b = a + length
+    m = a + cut % (length + 1)
+    run = verifier._run(a, b)
+    assert run == (math.prod(range(a + 1, b + 1)), walk(0, a, b))
+    (a1, b1), (a2, b2) = verifier._run(a, m), verifier._run(m, b)
+    assert (a1 * a2, b1 * a2 + b2) == run
+    assert verifier._run(a, a) == (1, 0)
 
 
 @pytest.mark.parametrize("bits", [verifier.BARRETT_BITS - 1, verifier.BARRETT_BITS, verifier.BARRETT_BITS + 1])
