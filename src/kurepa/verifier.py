@@ -28,8 +28,9 @@ import json
 import math
 import os
 import time
-from itertools import chain, islice
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
+from itertools import accumulate, chain, islice
+from operator import mul
 
 from .sequences import bell_rows
 
@@ -85,14 +86,18 @@ def _run(a: int, b: int) -> tuple[int, int]:
     """The exact map of the steps (a, b] of D_m = m*D_(m-1) + (-1)^m: the
     pair (A, B) with A = (a+1)...b, so that D_b = A*D_a + B.
 
-    Runs of at most 64 steps are Horner leaves; longer runs split in half
-    and compose as (A1*A2, B1*A2 + B2), so the products are balanced.
+    Unrolled, B is the sum over a < k <= b of (-1)^k (k+1)...b. A leaf of
+    at most 128 steps, as is every chunk of a narrow modulus, takes the
+    suffix products q[t] = (b-t+1)...b, q[0] = 1 and q[b-a] = A, from one
+    accumulate over b, b-1, ..., a+1, and then B = (-1)^b (q[0] - q[1] +
+    q[2] - ...) over every q but A, so no Python bytecode runs per step.
+    Longer runs split in half and compose as (A1*A2, B1*A2 + B2), so the
+    products are balanced. The empty run is (1, 0).
     """
-    if b - a <= 64:
-        q = 0
-        for k in range(a + 1, b + 1):
-            q = q * k - 1 if k & 1 else q * k + 1
-        return math.prod(range(a + 1, b + 1)), q
+    if b - a <= 128:
+        q = list(accumulate(range(b, a, -1), mul, initial=1))
+        even, odd = sum(q[0:-1:2]), sum(q[1:-1:2])
+        return q[-1], odd - even if b & 1 else even - odd
     c = (a + b) // 2
     a1, b1 = _run(a, c)
     a2, b2 = _run(c, b)
