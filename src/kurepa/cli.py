@@ -20,9 +20,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from decimal import localcontext
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 # SEQUENCES holds functions of sequences and efactor; every other layer is
 # imported by the builder that runs it, so a subcommand loads only its own

@@ -10,6 +10,7 @@ tuples, and compares them with their targets.
 
 from __future__ import annotations
 
+import os
 from decimal import Decimal, localcontext
 
 from .efactor import GUARD_DIGITS, format_significant
@@ -88,13 +89,10 @@ def load_fixtures() -> tuple[tuple[str, int, str, tuple[tuple[int, int], ...]], 
     blank lines and # comments are skipped. Each row comes back as
     (label, value, basis, terms), terms being the printed (index, coeff) pairs.
     """
-    from importlib import resources
-
-    text = (
-        resources.files("kurepa")
-        .joinpath("data/decompositions.txt")
-        .read_text(encoding="ascii")
-    )
+    # a plain open, since importlib.resources loads pathlib, tempfile and zipfile
+    path = os.path.join(os.path.dirname(__file__), "data", "decompositions.txt")
+    with open(path, encoding="ascii") as fh:
+        text = fh.read()
     out = []
     for line in text.splitlines():
         line = line.strip()

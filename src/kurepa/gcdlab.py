@@ -12,7 +12,8 @@ published gcd claims are compared against these values in report.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .sequences import factorial_states
 
@@ -51,11 +52,8 @@ def gcd_stein(a: int, b: int) -> int:
     return factor * (u or v)
 
 
-class AlteredScanRow(NamedTuple):
-    """One scan cell: value = gcd(F_n + a, F_{n+1} + a) for the scan's shift a."""
-
-    n: int
-    value: int
+AlteredScanRow = namedtuple("AlteredScanRow", "n value")
+AlteredScanRow.__doc__ = "One scan cell: value = gcd(F_n + a, F_{n+1} + a) for the scan's shift a."
 
 
 def scan_altered(a: int, ns: Iterable[int]) -> list[AlteredScanRow]:

@@ -17,8 +17,9 @@ concurrently.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import accumulate
-from typing import Iterator, NamedTuple
 
 
 def factorial(n: int) -> int:
@@ -28,14 +29,12 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-class FactorialState(NamedTuple):
-    """The running factorial family at one index n."""
+FactorialState = namedtuple("FactorialState", "n factorial left alt derangement")
+FactorialState.__doc__ = """The running factorial family at one index n.
 
-    n: int
-    factorial: int  # n!
-    left: int  # !n = 0! + 1! + ... + (n-1)!
-    alt: int  # sum of (-1)^m * m! over 0 <= m < n
-    derangement: int  # D_n
+factorial is n!, left is !n = 0! + 1! + ... + (n-1)!, alt is the sum of
+(-1)^m * m! over 0 <= m < n, and derangement is D_n.
+"""
 
 
 _ORIGIN = FactorialState(0, 1, 0, 0, 1)

@@ -514,19 +514,24 @@ EXACT_COMMANDS = {
 
 @pytest.mark.parametrize("argv", list(EXACT_COMMANDS), ids=lambda a: "_".join(a[:2]))
 def test_subcommand_imports(argv):
-    proc = python(
-        "import contextlib, io, sys\n"
-        "from kurepa.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
-        "print(code, *sorted(sys.modules))\n",
-        *argv,
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, *loaded = proc.stdout.split()
-    assert code == "0"
-    for name in (*EXACT_COMMANDS[argv], "mpmath", "dataclasses"):
-        assert name not in loaded and f"kurepa.{name}" not in loaded, name
+    # typing and importlib.resources cost a fresh command several ms each,
+    # but site's .pth files may load them on their own, so only the run
+    # under -S (no site) can forbid them
+    for flags, forbidden in (((), ()), (("-S",), ("typing", "importlib.resources"))):
+        proc = python(
+            "import contextlib, io, sys\n"
+            "from kurepa.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, *sorted(sys.modules))\n",
+            *argv,
+            flags=flags,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, *loaded = proc.stdout.split()
+        assert code == "0"
+        for name in (*EXACT_COMMANDS[argv], "mpmath", "dataclasses", *forbidden):
+            assert name not in loaded and f"kurepa.{name}" not in loaded, (flags, name)
 
 
 @pytest.mark.parametrize("argv", [("physics", "debruijn"), ("report", "--format", "csv")], ids=lambda a: a[0])
