@@ -16,8 +16,9 @@ commits them, so a checkpoint always describes a clean prefix, also the one
 saved when the run is interrupted; an early exit terminates the pool's
 workers rather than waiting for their blocks. Waiting on the oldest block
 leaves no worker idle, because a later block folds further and so finishes
-later: on a 2-vCPU machine the four blocks of [3, 150064) take about 0.19,
-0.37, 0.52 and 0.32 s of CPU, the last holding 1564 primes, not 4096.
+later: on a 2-vCPU machine the four blocks of [3, 150064) take about 0.12,
+0.24, 0.40 and 0.24 s of CPU (medians of 7 runs), the last holding 1564
+primes, not 4096.
 Reports are canonical: the same range yields byte-identical output no
 matter the worker count or how often the run was interrupted.
 """
@@ -121,10 +122,10 @@ def _advance(d: int, m: int, end: int, modulus: int) -> int:
       the estimate would fall short by about x // 2**(2k) moduli.
 
     Measured on 2 vCPUs with CPython 3.11, advancing 30 000 steps near 1e5
-    (medians of 7 alternating runs, three trials): Barrett runs 0.88-0.98x
-    as fast as % at 8 000 bits, 1.0-1.2x at 16 000 and 1.2-1.5x at 68 000
-    (a full block's product); near 1e6 at the 1 500 bits of a frontier
-    block, 0.89-0.98x.
+    (medians of 7 alternating runs, three trials): Barrett runs 1.04-1.23x
+    as fast as % at 8 000 bits, 1.05-1.40x at 16 000 and 1.24-1.69x at
+    68 000 (a full block's product); near 1e6 at the 1 500 bits of a
+    frontier block, 0.91-0.98x.
     """
     k = modulus.bit_length()
     step = max(64, k // end.bit_length())
