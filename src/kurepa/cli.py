@@ -7,10 +7,19 @@ stdout or --out, rendered as plain text, comma separated values, or a JSON
 envelope {command, columns, rows, summary} that validates against
 data/output-schema.json. The renderers are line generators, and main writes
 each line as it is produced, so output memory is one line plus the table's
-values, however long the table. Before the destination is opened, main
-checks the widest int the format will print against the interpreter's
-int-to-str digit limit, so a table that cannot be printed exits 2 without
-writing a byte or creating the --out file.
+values, however long the table.
+
+The csv and plain formats print every value with str(). CPython's int-to-str
+is quadratic in the digit count and Decimal's is linear, so there `seq`
+takes a family's exact Decimal column where `sequences.DECIMAL_COLUMNS` has
+one, and `decomp` runs the greedy on a Decimal target, whose value column
+reads the Decimal Bell memo. JSON keeps ints: its encoder writes them
+itself, and converting a Decimal to int costs more than printing the int.
+Before the destination is opened, main checks the widest number the format
+will print against the interpreter's int-to-str digit limit, Decimals
+included, so the 4300-digit wall is the same in every format: a table that
+cannot be printed exits 2 with the interpreter's message, without writing
+a byte or creating the --out file.
 
 Exit codes: 0 success, 10 counterexample found, 2 usage, 3 I/O, 130 Ctrl-C.
 """
@@ -21,7 +30,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 # SEQUENCES holds functions of sequences and efactor; every other layer is
@@ -29,9 +38,11 @@ from fractions import Fraction
 from .discrepancy import MISMATCH
 from .efactor import GUARD_DIGITS, EScaled, dobinski, fermi, format_significant
 from .sequences import (
+    DECIMAL_COLUMNS,
     alt_left_factorial,
     bell,
     complementary_bell,
+    decimal_bell,
     derangement,
     factorial,
     guy_alternating,
@@ -131,34 +142,41 @@ def render_plain(lines) -> str:
     return "".join(_plain_lines(lines))
 
 
-def _ints(cells) -> Iterator[int]:
-    """Every int printed for cells: ints, the terms of fractions, and what lists and dicts hold."""
+def _numbers(cells) -> Iterator[int | Decimal]:
+    """Every integer printed for cells: ints, Decimals, the terms of fractions, and what lists and dicts hold."""
     for cell in cells:
         if isinstance(cell, EScaled):
             cell = cell.coeff
         if isinstance(cell, Fraction):
             yield cell.numerator
             yield cell.denominator
-        elif isinstance(cell, int):
+        elif isinstance(cell, (int, Decimal)):
             yield cell
         elif isinstance(cell, list):
-            yield from _ints(cell)
+            yield from _numbers(cell)
         elif isinstance(cell, dict):
-            yield from _ints(cell.values())
+            yield from _numbers(cell.values())
 
 
 def _check_printable(args, table: Table) -> None:
-    """Raise the interpreter's own ValueError if the format would print a too-wide int.
+    """Raise the interpreter's own ValueError if the format would print a too-wide integer.
 
-    CPython refuses str(x) once x has more than sys.get_int_max_str_digits()
-    digits (0 means no limit), which holds exactly when |x| >= 10**limit.
+    CPython refuses str(x) for an int x once it has more than
+    sys.get_int_max_str_digits() digits (0 means no limit), which holds
+    exactly when |x| >= 10**limit. A Decimal integer prints at any width, so
+    the same wall holds for it by its digit count, adjusted() + 1, and only
+    the widest one is converted to int, to raise the same message.
     Interpreters before 3.10.7 have no limit.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return
     printed = [table.rows, table.summary] if args.format == "json" else table.rows
-    widest = max(map(abs, _ints(printed)), default=0)
+    numbers = list(_numbers(printed))
+    widest = max((x for x in numbers if isinstance(x, Decimal)), key=Decimal.adjusted, default=Decimal(0))
+    if widest.adjusted() >= limit:
+        str(int(widest))
+    widest = max((abs(x) for x in numbers if not isinstance(x, Decimal)), default=0)
     if widest >= 10**limit:
         str(widest)
 
@@ -190,7 +208,8 @@ def _build_seq(args) -> Table:
         raise UsageError("need n_lo <= n_hi")
     _check_cap("n_hi", args.n_hi)
     ns = range(args.n_lo, args.n_hi + 1)
-    values = [func(n) for n in ns]
+    column = None if args.format == "json" else DECIMAL_COLUMNS.get(func)
+    values = column(args.n_lo, args.n_hi) if column else [func(n) for n in ns]
     return Table(
         command="seq",
         columns=["n", args.name],
@@ -258,11 +277,13 @@ def _build_decomp(args) -> Table:
 
     if args.target < 0:
         raise UsageError("target must be nonnegative")
-    terms = greedy_bell_decomposition(args.target)
+    as_decimal = args.format != "json"
+    terms = greedy_bell_decomposition(Decimal(args.target) if as_decimal else args.target)
+    value = decimal_bell if as_decimal else bell
     return Table(
         command="decomp",
         columns=["basis", "index", "coefficient", "value"],
-        rows=[["bell", idx, coeff, bell(idx)] for idx, coeff in terms],
+        rows=[["bell", idx, coeff, value(idx)] for idx, coeff in terms],
         summary={"target": args.target, "term_count": len(terms)},
         plain=[f"{coeff}*bell_{idx}" for idx, coeff in terms],
     )

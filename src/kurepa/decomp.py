@@ -14,7 +14,7 @@ import os
 from decimal import Decimal, localcontext
 
 from .efactor import GUARD_DIGITS, format_significant
-from .sequences import bell, complementary_bell, factorial_states, left_factorial
+from .sequences import EXACT, bell, complementary_bell, decimal_bell, factorial_states, left_factorial
 
 # basis name -> the integer coefficient of its element k; the dobinski basis
 # is the Bell basis on the e scale, Bell_k e = sum_j j^k/j!
@@ -37,19 +37,26 @@ def greedy_bell_decomposition(target: int) -> tuple[tuple[int, int], ...]:
     the largest possible coefficient. Ties at value 1 resolve to index 1, the
     larger index, which the "largest element" rule gives for free. Each
     remainder is below the Bell number just used, so the index only walks down.
+
+    The arithmetic keeps the target's number type: an int target gives int
+    coefficients, and a Decimal integer target reads the Decimal Bell memo
+    and gives Decimal coefficients, computed under the exact context.
     """
     if target < 0:
         raise ValueError("greedy decomposition requires a nonnegative target")
+    bell_of = decimal_bell if isinstance(target, Decimal) else bell
     terms: list[tuple[int, int]] = []
     remainder = target
     m = 1
-    while bell(m + 1) <= remainder:
-        m += 1
-    while remainder > 0:
-        while bell(m) > remainder:
-            m -= 1
-        q, remainder = divmod(remainder, bell(m))
-        terms.append((m, q))
+    # divmod truncates a Decimal toward zero, which is the floor here: both operands are positive
+    with localcontext(EXACT):
+        while bell_of(m + 1) <= remainder:
+            m += 1
+        while remainder > 0:
+            while bell_of(m) > remainder:
+                m -= 1
+            q, remainder = divmod(remainder, bell_of(m))
+            terms.append((m, q))
     return tuple(terms)
 
 

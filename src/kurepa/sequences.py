@@ -1,7 +1,8 @@
 """Exact integer sequences around the left factorial.
 
-Everything here is exact: plain Python ints, and each polynomial as the
-tuple of its integer coefficients, constant term first. Two streams carry
+Everything here is exact: plain Python ints (and Decimal integers for the
+printed columns below), and each polynomial as the tuple of its integer
+coefficients, constant term first. Two streams carry
 the running state. `factorial_states` steps n! together
 with !n, the alternating sum and D_n, so a table of any of them costs one
 big-integer step per row; the point functions roll one cached state forward
@@ -12,6 +13,23 @@ Both exact families are memoized, so their tables hold O(n^2) bits and one
 row. Stirling numbers come from one rolling row. A request below the cached
 state or row restarts from 0. No cache is locked: nothing reads them
 concurrently.
+
+Every point function returns an int. `DECIMAL_COLUMNS` gives some families
+a second form: a whole column n = lo..hi of exact `Decimal` integers,
+computed under the `EXACT` context (no bound on digits or exponent; any
+rounding or invalid operation raises). The function that does the
+arithmetic enters that context, so no value depends on the caller's. The
+csv and plain `seq` formats print with `str()`, which is linear in the digit
+count for a `Decimal` and quadratic for an int, and converting a finished
+int to `Decimal` costs about as much as printing it, so a column is a
+`Decimal` from its first step. The rule: a family gets a `Decimal` column
+only where its `seq` op gets faster with it. The factorial family does, by
+5-8x at n = 1500: each of its columns is one scan over the factorials that
+carries only what the family reads. So does `bell`, by a little, because
+its triangle adds about as fast in `Decimal`; the Bell triangle keeps one
+memo per number type, and `decomp` reads the `Decimal` one. `invbell` does
+not, so it stays on ints: its signed triangle adds more slowly in `Decimal`
+than its values print as ints, and -1 * 0 is -0 there.
 """
 
 from __future__ import annotations
@@ -19,7 +37,37 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import accumulate
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
+from itertools import accumulate, cycle, islice
+from operator import mul
+
+# Integer arithmetic on Decimal with no bound on digits or exponent. Every
+# field is set, since Context() copies unset ones from DefaultContext, which
+# a caller may change; under ROUND_HALF_EVEN an exact zero sum is +0, and a
+# result that would be rounded raises.
+EXACT = Context(
+    prec=MAX_PREC,
+    rounding=ROUND_HALF_EVEN,
+    Emin=MIN_EMIN,
+    Emax=MAX_EMAX,
+    capitals=1,
+    clamp=0,
+    flags=[],
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
 
 
 def factorial(n: int) -> int:
@@ -137,21 +185,30 @@ def bell_rows(sign: int, modulus: int | None = None) -> Iterator[list[int]]:
     entry, and a_n is the first entry of row n (Aitken 1933). With a modulus
     every entry is reduced mod it, so the rows give a_n mod m.
     """
-    row = [1 if modulus is None else 1 % modulus]
+    return _aitken([1 if modulus is None else 1 % modulus], sign, modulus)
+
+
+def _aitken(row: list, sign: int, modulus: int | None = None) -> Iterator[list]:
     while True:
         yield row
         sums = accumulate(row, initial=sign * row[-1])
         row = list(sums) if modulus is None else [v % modulus for v in sums]
 
 
-# Per sign: the values a_0, a_1, ... found so far and the live generator of rows.
-_bell_memo = {sign: ([], bell_rows(sign)) for sign in (1, -1)}
+# Per (number type, sign): the values a_0, a_1, ... found so far and the live
+# generator of rows. Only bell has a Decimal column (see the module docstring).
+_bell_memo = {
+    (kind, sign): ([], _aitken([kind(1)], sign)) for kind, sign in ((int, 1), (int, -1), (Decimal, 1))
+}
 
 
-def _bell_family(sign: int, n: int) -> int:
-    values, rows = _bell_memo[sign]
-    while len(values) <= n:
-        values.append(next(rows)[0])
+def _bell_family(sign: int, n: int, kind: type = int) -> int | Decimal:
+    values, rows = _bell_memo[kind, sign]
+    if len(values) <= n:
+        # next(rows) runs the row's additions under the context current here
+        with localcontext(EXACT):
+            while len(values) <= n:
+                values.append(next(rows)[0])
     return values[n]
 
 
@@ -160,6 +217,13 @@ def bell(n: int) -> int:
     if n < 0:
         raise ValueError("bell requires n >= 0")
     return _bell_family(1, n)
+
+
+def decimal_bell(n: int) -> Decimal:
+    """Bell_n as an exact Decimal integer, from the Decimal memo."""
+    if n < 0:
+        raise ValueError("bell requires n >= 0")
+    return _bell_family(1, n, Decimal)
 
 
 def complementary_bell(n: int) -> int:
@@ -228,3 +292,49 @@ def consecutive_factorial_sum(k: int, n: int) -> int:
     if k < 0 or n < 1:
         raise ValueError("consecutive_factorial_sum requires k >= 0 and n >= 1")
     return sum(s.factorial for s in factorial_states(k, k + n - 1))
+
+
+def _factorials(hi: int) -> Iterator[Decimal]:
+    """0!, 1!, ..., hi!: one multiply per step."""
+    return accumulate(range(1, hi + 1), mul, initial=Decimal(1))
+
+
+def _derangement_step(d: Decimal, n: int) -> Decimal:
+    """D_n = n * D_(n-1) + (-1)^n."""
+    return n * d + (-1 if n % 2 else 1)
+
+
+def _guy_step(g: Decimal, f: Decimal) -> Decimal:
+    """G_n = n! - G_(n-1), from the terms of guy_alternating's sum."""
+    return f - g
+
+
+def _column(scan):
+    """The values scan(hi) yields for n = lo..hi, computed under EXACT.
+
+    scan(hi) yields the family's values from n = 0 on; the ones below lo,
+    and below the family's first index, are computed and dropped.
+    """
+
+    def column(lo: int, hi: int) -> list[Decimal]:
+        with localcontext(EXACT):
+            return list(islice(scan(hi), lo, hi + 1))
+
+    return column
+
+
+# point function -> its column for n = lo..hi as exact Decimal integers. Each
+# scan carries only the running values its family reads, so a column costs
+# one or two big operations per row, where a FactorialState step costs five.
+DECIMAL_COLUMNS = {
+    factorial: _column(_factorials),
+    # !n = 0! + ... + (n-1)!, and wagstaff is !n - 1
+    left_factorial: _column(lambda hi: accumulate(_factorials(hi), initial=Decimal(0))),
+    wagstaff: _column(lambda hi: accumulate(_factorials(hi), initial=Decimal(-1))),
+    alt_left_factorial: _column(lambda hi: accumulate(map(mul, _factorials(hi), cycle((1, -1))), initial=Decimal(0))),
+    guy_alternating: _column(lambda hi: accumulate(islice(_factorials(hi), 1, None), _guy_step, initial=Decimal(0))),
+    # r_n = !(n+1) / 2, halving a nonnegative value, so // is the floor; !1 // 2 = 0 = r_0
+    half_left_factorial: _column(lambda hi: (v // 2 for v in accumulate(_factorials(hi)))),
+    derangement: _column(lambda hi: accumulate(range(1, hi + 1), _derangement_step, initial=Decimal(1))),
+    bell: _column(lambda hi: map(decimal_bell, range(hi + 1))),
+}

@@ -8,16 +8,19 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
 from kurepa import cli
 from kurepa.cli import main, render_csv
 from kurepa.efactor import EScaled
-from kurepa.sequences import bell
+from kurepa.sequences import DECIMAL_COLUMNS, bell
 
 
 @pytest.fixture(scope="module")
@@ -148,18 +151,23 @@ def test_out_file_needs_less_memory_than_its_size(tmp_path):
     assert peak - start < size
 
 
-# ways a seq value can carry an int of a given width: plain, negative, and as
-# the numerator or the denominator of an EScaled coefficient
+# ways a seq value can carry an integer of a given width, with the formats
+# that print it: plain, negative, as the numerator or the denominator of an
+# EScaled coefficient, and as a Decimal, which only csv and plain print
 WIDE_CELLS = [
-    pytest.param("bell", lambda x: x, id="int"),
-    pytest.param("bell", lambda x: -x, id="negative"),
-    pytest.param("dobinski", lambda x: EScaled(Fraction(x, 7), 1), id="numerator"),
-    pytest.param("dobinski", lambda x: EScaled(Fraction(1, x), 1), id="denominator"),
+    ("int", "bell", lambda x: x, ("plain", "csv", "json")),
+    ("negative", "bell", lambda x: -x, ("plain", "csv", "json")),
+    ("numerator", "dobinski", lambda x: EScaled(Fraction(x, 7), 1), ("plain", "csv", "json")),
+    ("denominator", "dobinski", lambda x: EScaled(Fraction(1, x), 1), ("plain", "csv", "json")),
+    ("decimal", "bell", Decimal, ("plain", "csv")),
+    ("negative_decimal", "bell", lambda x: Decimal(-x), ("plain", "csv")),
 ]
 
 
-@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-@pytest.mark.parametrize("name, wrap", WIDE_CELLS)
+@pytest.mark.parametrize(
+    "name, wrap, fmt",
+    [pytest.param(name, wrap, fmt, id=f"{wid}-{fmt}") for wid, name, wrap, fmts in WIDE_CELLS for fmt in fmts],
+)
 def test_digit_limit_is_checked_exactly(tmp_path, capsys, monkeypatch, name, wrap, fmt):
     target = tmp_path / "out.txt"
     # 10**4300 - 1 has 4300 digits, the most the interpreter converts
@@ -169,6 +177,22 @@ def test_digit_limit_is_checked_exactly(tmp_path, capsys, monkeypatch, name, wra
     assert "9" * 4300 in out
     monkeypatch.setitem(cli.SEQUENCES, name, (lambda n: wrap(10**4300 if n == 2 else n + 1), 0))
     code, out, err = run(capsys, "seq", name, "0", "2", "--format", fmt, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "Exceeds the limit (4300 digits)" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_left_factorial_prints_up_to_the_digit_limit(tmp_path, capsys, fmt):
+    # csv and plain compute !n as a Decimal, whose str() has no limit of its own
+    code, out, _ = run(capsys, "seq", "left_factorial", "1", "1559", "--format", fmt)
+    assert code == 0
+    last = out.splitlines()[-1].rpartition(",")[2]
+    assert len(last) == 4300
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, "seq", "left_factorial", "1", "1560", "--format", fmt, "--out", str(target))
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1
@@ -222,6 +246,35 @@ def test_no_digit_limit_prints_5000_digits(capsys, monkeypatch, fmt):
         sys.set_int_max_str_digits(limit)
     assert code == 0
     assert "1" + "0" * 4999 in out
+
+
+DECIMAL_FAMILIES = sorted(name for name, (func, _) in cli.SEQUENCES.items() if func in DECIMAL_COLUMNS)
+
+
+@given(st.data())
+def test_decimal_columns_print_the_int_point_values(data):
+    name = data.draw(st.sampled_from(DECIMAL_FAMILIES))
+    func, min_n = cli.SEQUENCES[name]
+    lo = data.draw(st.integers(min_value=min_n, max_value=400))
+    hi = data.draw(st.integers(min_value=lo, max_value=400))
+    values = [str(func(n)) for n in range(lo, hi + 1)]
+    expected = {
+        "plain": "".join(f"{v}\n" for v in values),
+        "csv": f"n,{name}\n" + "".join(f"{n},{v}\n" for n, v in zip(range(lo, hi + 1), values)),
+    }
+    for fmt, text in expected.items():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["seq", name, str(lo), str(hi), "--format", fmt])
+        assert code == 0
+        assert out.getvalue() == text, (name, lo, hi, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_complementary_bell_prints_no_negative_zero(capsys, fmt):
+    code, out, _ = run(capsys, "seq", "invbell", "0", "3", "--format", fmt)
+    assert code == 0
+    assert [line.rpartition(",")[2] for line in out.splitlines()[fmt == "csv":]] == ["1", "-1", "0", "1"]
 
 
 def test_report_json_carries_notes(capsys, output_schema):
@@ -536,21 +589,23 @@ def test_subcommand_imports(argv):
 
 @pytest.mark.parametrize("argv", [("physics", "debruijn"), ("report", "--format", "csv")], ids=lambda a: a[0])
 def test_growth_rows_build_no_big_bell_number(argv):
-    # ln Bell_n comes from Dobinski's series; the exact memo keeps the
-    # Bell_0..Bell_9 that other rows read, not the 1001 rows of Bell_1000
+    # ln Bell_n comes from Dobinski's series; each number type's exact memo
+    # keeps the Bell_0..Bell_9 that other rows read, not the 1001 rows of Bell_1000
     proc = python(
         "import contextlib, io, sys\n"
+        "from decimal import Decimal\n"
         "from kurepa.cli import main\n"
         "from kurepa.sequences import _bell_memo\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(code, len(_bell_memo[1][0]))\n",
+        "print(code, *(len(_bell_memo[kind, 1][0]) for kind in (int, Decimal)))\n",
         *argv,
     )
     assert proc.returncode == 0, proc.stderr
-    code, held = proc.stdout.split()
+    code, *held = proc.stdout.split()
     assert code == "0"
-    assert int(held) <= 10
+    assert len(held) == 2
+    assert all(int(n) <= 10 for n in held)
 
 
 @pytest.mark.parametrize("argv", list(EXACT_COMMANDS), ids=lambda a: "_".join(a[:2]))

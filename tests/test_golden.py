@@ -24,6 +24,7 @@ change.
 """
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -79,6 +80,18 @@ GOLDEN_OTHER = [
 
 REPORT_CSV_MD5 = "33affc09420c27073fa96628d3833ba0"
 
+# pins whose csv or plain bytes come from exact Decimal arithmetic, and the
+# report, whose greedy rows run on ints
+DECIMAL_PINS = [
+    ("plain", ("seq", "bell", "0", "300")),
+    ("csv", ("seq", "derangement", "0", "1200")),
+    ("csv", ("decomp", str(DECOMP_TARGET))),
+    ("plain", ("decomp", str(DECOMP_TARGET))),
+]
+PINNED = {(fmt, argv): digest for fmt, argv, digest in GOLDEN_OTHER} | {
+    ("csv", argv): digest for argv, digest in GOLDEN_CSV
+}
+
 
 def kurepa_out(fmt: str, *argv: str) -> bytes:
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
@@ -114,3 +127,33 @@ REPORT_NOTES_SHA256 = "4949455ac7ebbc3d275a285d6da6dbbcb3e1b0dbaea01e9de61bdec3a
 def test_report_notes_sha256():
     text = "".join(f"{r.claim_id}\t{r.note}\n" for r in full_report())
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_NOTES_SHA256
+
+
+# A caller's context that would round the walks (5 digits), or let every
+# condition pass silently (no traps), changes no byte: the arithmetic runs
+# under the package's own exact context. A fresh interpreter starts with
+# empty memos, so the Bell triangle is built inside the caller's context.
+@pytest.mark.parametrize("setup", ["ctx.prec = 5", "ctx.clear_traps()"])
+def test_decimal_output_ignores_the_callers_context(setup):
+    script = (
+        "import contextlib, decimal, hashlib, io, json, sys\n"
+        "from kurepa.cli import main\n"
+        "for fmt, *argv in json.loads(sys.stdin.read()):\n"
+        "    out = io.StringIO()\n"
+        "    with decimal.localcontext() as ctx, contextlib.redirect_stdout(out):\n"
+        f"        {setup}\n"
+        "        code = main([*argv, '--format', fmt])\n"
+        "    digest = hashlib.md5 if argv == ['report'] else hashlib.sha256\n"
+        "    print(code, digest(out.getvalue().encode()).hexdigest())\n"
+    )
+    commands = [*DECIMAL_PINS, ("csv", ("report",))]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps([[fmt, *argv] for fmt, argv in commands]),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [f"0 {PINNED[fmt, argv]}" for fmt, argv in DECIMAL_PINS] + [f"0 {REPORT_CSV_MD5}"]
+    assert proc.stdout.splitlines() == expected

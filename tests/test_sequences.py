@@ -163,6 +163,27 @@ def test_complementary_bell_memory_is_quadratic():
     assert int(proc.stdout) < 16 * 2**20
 
 
+def test_decimal_bell_ignores_the_callers_context():
+    # a fresh interpreter, so the Decimal memo is built inside the caller's
+    # 5-digit context, which would round every Bell number past B_8
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
+    code = (
+        "import decimal\n"
+        "from kurepa.sequences import bell, decimal_bell\n"
+        "with decimal.localcontext() as ctx:\n"
+        "    ctx.prec = 5\n"
+        "    value = decimal_bell(300)\n"
+        "assert str(value) == str(bell(300)), value\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src_dir),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_complementary_bell_values():
     assert [complementary_bell(n) for n in range(9)] == [1, -1, 0, 1, 1, -2, -9, -9, 50]
 
