@@ -91,7 +91,7 @@ class Table:
     `plain` may be lazy: only the plain format reads it, so values whose text
     is costly (big ints) are converted once, by whichever renderer runs. The
     plain lines print only values that the cells hold, so the cells (and,
-    for JSON, the summary) bound every int that any format prints.
+    for JSON, the summary) bound every integer that any format prints.
     """
 
     __slots__ = ("command", "columns", "rows", "summary", "plain", "exit_code")

@@ -30,7 +30,7 @@ def basis_coefficient(basis: str, index: int) -> int:
     return coefficient(index)
 
 
-def greedy_bell_decomposition(target: int) -> tuple[tuple[int, int], ...]:
+def greedy_bell_decomposition(target: int | Decimal) -> tuple[tuple[int, int | Decimal], ...]:
     """Canonical greedy decomposition of a nonnegative integer over Bell numbers.
 
     Each step takes the largest Bell number not exceeding the remainder with
@@ -45,10 +45,10 @@ def greedy_bell_decomposition(target: int) -> tuple[tuple[int, int], ...]:
     if target < 0:
         raise ValueError("greedy decomposition requires a nonnegative target")
     bell_of = decimal_bell if isinstance(target, Decimal) else bell
-    terms: list[tuple[int, int]] = []
+    terms: list[tuple[int, int | Decimal]] = []
     remainder = target
     m = 1
-    # divmod truncates a Decimal toward zero, which is the floor here: both operands are positive
+    # divmod truncates a Decimal toward zero, the floor here: the remainder is never negative
     with localcontext(EXACT):
         while bell_of(m + 1) <= remainder:
             m += 1
