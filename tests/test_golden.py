@@ -21,6 +21,10 @@ write as they go. The JSON envelope of the report carries the row notes, so
 its pin and REPORT_NOTES_SHA256 were retaken when the note on
 table10.nextplus1.n0 was corrected; the report's csv and plain bytes did not
 change.
+The JSON pins of `seq left_factorial`, `r` and `derangement` up to n = 1200
+were taken while JSON `seq` still read the point functions one n at a time
+from the five-sum factorial walk, before every format read the family's
+accumulate scan.
 """
 
 import hashlib
@@ -76,6 +80,9 @@ GOLDEN_OTHER = [
     ("plain", ("report",), "b06562c8d54ba2dcb5a6f4b86bf218d60f78313bdba95db741afdeccab46d529"),
     ("json", ("physics", "debruijn"), "100d575f5a30a3b2dee9d90364f58e1cf3434f25f182bb132beecca63fec6526"),
     ("plain", ("physics", "debruijn"), "2d600803fb1e0a507b5bb224e9586343ece3553b30a2ea09735ac1b8ec50c3b0"),
+    ("json", ("seq", "left_factorial", "1", "1200"), "cca0046a744586a1161d833299607a4a571191cbe6e36970cebab18c568b32c5"),
+    ("json", ("seq", "r", "0", "1200"), "bf67d38bcdc3a1674827f7cc68c6536ff09a17350c3cac3c0d620c2ab3a4a928"),
+    ("json", ("seq", "derangement", "0", "1200"), "7ad046075f16f1faf026307abb50c05bda64afa6f3a83801c2c00dcc8d20de32"),
 ]
 
 REPORT_CSV_MD5 = "33affc09420c27073fa96628d3833ba0"
