@@ -9,12 +9,13 @@ data/output-schema.json. The renderers are line generators, and main writes
 each line as it is produced, so output memory is one line plus the table's
 values, however long the table.
 
-The csv and plain formats print every value with str(). CPython's int-to-str
-is quadratic in the digit count and Decimal's is linear, so there `seq`
-takes a family's exact Decimal column where `sequences.DECIMAL_COLUMNS` has
-one, and `decomp` runs the greedy on a Decimal target, whose value column
-reads the Decimal Bell memo. JSON keeps ints: its encoder writes them
-itself, and converting a Decimal to int costs more than printing the int.
+`seq` reads a family's whole column from its scan in `sequences.SCANS`
+where it has one, in every format. csv and plain print with str(), which
+is quadratic in the digit count for an int and linear for a Decimal, so
+there the column is of exact Decimals, and `decomp` runs the greedy on a
+Decimal target, whose value column reads the Decimal Bell memo. JSON keeps
+ints: its encoder writes them itself, and converting a Decimal to int costs
+more than printing the int.
 Before the destination is opened, main checks the widest number the format
 will print against the interpreter's int-to-str digit limit, Decimals
 included, so the 4300-digit wall is the same in every format: a table that
@@ -38,9 +39,10 @@ from fractions import Fraction
 from .discrepancy import MISMATCH
 from .efactor import GUARD_DIGITS, EScaled, dobinski, fermi, format_significant
 from .sequences import (
-    DECIMAL_COLUMNS,
+    SCANS,
     alt_left_factorial,
     bell,
+    column,
     complementary_bell,
     decimal_bell,
     derangement,
@@ -208,8 +210,8 @@ def _build_seq(args) -> Table:
         raise UsageError("need n_lo <= n_hi")
     _check_cap("n_hi", args.n_hi)
     ns = range(args.n_lo, args.n_hi + 1)
-    column = None if args.format == "json" else DECIMAL_COLUMNS.get(func)
-    values = column(args.n_lo, args.n_hi) if column else [func(n) for n in ns]
+    one = 1 if args.format == "json" else Decimal(1)
+    values = column(func, args.n_lo, args.n_hi, one) if func in SCANS else [func(n) for n in ns]
     return Table(
         command="seq",
         columns=["n", args.name],

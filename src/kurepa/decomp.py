@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import os
 from decimal import Decimal, localcontext
+from itertools import islice
 
 from .efactor import GUARD_DIGITS, format_significant
-from .sequences import EXACT, bell, complementary_bell, decimal_bell, factorial_states, left_factorial
+from .sequences import EXACT, SCANS, alt_left_factorial, bell, complementary_bell, decimal_bell, left_factorial
 
 # basis name -> the integer coefficient of its element k; the dobinski basis
 # is the Bell basis on the e scale, Bell_k e = sum_j j^k/j!
@@ -64,14 +65,14 @@ def kurepa_sequence_sum(n: int) -> int:
     """Sum of !i for 1 <= i <= n."""
     if n < 1:
         raise ValueError("kurepa_sequence_sum requires n >= 1")
-    return sum(s.left for s in factorial_states(1, n))
+    return sum(islice(SCANS[left_factorial](), 1, n + 1))
 
 
 def alt_kurepa_sequence_sum(n: int) -> int:
     """Sum of the alternating variant over 1 <= i <= n."""
     if n < 1:
         raise ValueError("alt_kurepa_sequence_sum requires n >= 1")
-    return sum(s.alt for s in factorial_states(1, n))
+    return sum(islice(SCANS[alt_left_factorial](), 1, n + 1))
 
 
 def log_left_factorial(n: int, base="e", digits: int = 15) -> str:

@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable
+from itertools import islice
 
-from .sequences import factorial_states
+from .sequences import SCANS, left_factorial
 
 
 def gcd_euclid(a: int, b: int) -> int:
@@ -71,16 +72,16 @@ def scan_altered(a: int, ns: Iterable[int]) -> list[AlteredScanRow]:
       F_1 - F_0 = 2 is not 1!.
 
     The same step shows that g(n-1) divides g(n) for n >= 2. One walk of
-    factorial_states gives each x_n; the second gcd argument stays the
-    size of the row's value.
+    the left-factorial scan gives each x_n, one multiply and one add per
+    row; the second gcd argument stays the size of the row's value.
     """
     ns = list(ns)
     if any(n < 0 for n in ns):
         raise ValueError("scan_altered requires n >= 0")
     values = [math.gcd(a, a + 2)]
     g = 1  # gcd(!1 + a, 1!)
-    for s in factorial_states(2, max(ns, default=0) + 1):
-        # s.left = !(n+1) = F_n at s.n = n + 1
-        g = math.gcd(s.left + a, s.n * g)
+    # left = !m = F_n at m = n + 1; range comes first, so zip reads no extra value
+    for m, left in zip(range(2, max(ns, default=0) + 2), islice(SCANS[left_factorial](), 2, None)):
+        g = math.gcd(left + a, m * g)
         values.append(g)
     return [AlteredScanRow(n=n, value=values[n]) for n in ns]

@@ -2,40 +2,46 @@
 
 Everything here is exact: plain Python ints (and Decimal integers for the
 printed columns below), and each polynomial as the tuple of its integer
-coefficients, constant term first. Two streams carry
-the running state. `factorial_states` steps n! together
-with !n, the alternating sum and D_n, so a table of any of them costs one
-big-integer step per row; the point functions roll one cached state forward
-with the same step. `bell_rows` builds Aitken's array for
-a_(n+1) = sign * sum_k C(n, k) a_k: sign +1 gives the Bell numbers, -1 the
-complementary Bell numbers, and with a modulus the same rows reduced mod m.
-Both exact families are memoized, so their tables hold O(n^2) bits and one
-row. Stirling numbers come from one rolling row. A request below the cached
-state or row restarts from 0. No cache is locked: nothing reads them
-concurrently.
+coefficients, constant term first.
 
-Every point function returns an int. `DECIMAL_COLUMNS` gives some families
-a second form: a whole column n = lo..hi of exact `Decimal` integers,
+Each factorial family (n!, the left factorial !n and !n - 1, the
+alternating sums, r_n = !(n+1) / 2 and the derangements D_n) is defined
+once, as an `itertools.accumulate` scan that carries only the running
+values the family reads: one or two big operations per row. `SCANS` maps
+a family's point function to its scan, whose start value, 1 or
+Decimal(1), sets the number type. A scan is read three ways: `column`
+takes a whole column n = lo..hi; each point function reads one rolling
+copy of its family's scan, so reads in increasing n cost one step each
+and a lower n starts the scan again; and `gcdlab`, `decomp` and the
+polynomials here walk a fresh scan. `factorial` itself is math.factorial.
+
+`bell_rows` builds Aitken's array for a_(n+1) = sign * sum_k C(n, k) a_k:
+sign +1 gives the Bell numbers, -1 the complementary Bell numbers, and
+with a modulus the same rows reduced mod m. Both exact families are
+memoized, so their tables hold O(n^2) bits and one row. Stirling numbers
+come from one rolling row, and a request below it restarts from row 0. No
+cache is locked: nothing reads them concurrently.
+
+Every point function returns an int. The JSON `seq` format prints a
+column of ints; csv and plain print a column of exact `Decimal` integers,
 computed under the `EXACT` context (no bound on digits or exponent; any
-rounding or invalid operation raises). The function that does the
-arithmetic enters that context, so no value depends on the caller's. The
-csv and plain `seq` formats print with `str()`, which is linear in the digit
-count for a `Decimal` and quadratic for an int, and converting a finished
-int to `Decimal` costs about as much as printing it, so a column is a
-`Decimal` from its first step. The rule: a family gets a `Decimal` column
-only where its `seq` op gets faster with it. The factorial family does, by
-5-8x at n = 1500: each of its columns is one scan over the factorials that
-carries only what the family reads. So does `bell`, by a little, because
-its triangle adds about as fast in `Decimal`; the Bell triangle keeps one
-memo per number type, and `decomp` reads the `Decimal` one. `invbell` does
-not, so it stays on ints: its signed triangle adds more slowly in `Decimal`
-than its values print as ints, and -1 * 0 is -0 there.
+rounding or invalid operation raises). `column` enters that context, so no
+value depends on the caller's. csv and plain print with `str()`, which is
+linear in the digit count for a `Decimal` and quadratic for an int, and
+converting a finished int to `Decimal` costs about as much as printing it,
+so a column is a `Decimal` from its first step. The rule: a family gets a
+scan only where its `seq` op gets faster with it. The factorial family
+does, by 5-8x at n = 1500. So does `bell`, by a little, because its
+triangle adds about as fast in `Decimal`; the Bell triangle keeps one memo
+per number type, its scan reads them, and `decomp` reads the `Decimal`
+one. `invbell` does not, so it stays on ints: its signed triangle adds
+more slowly in `Decimal` than its values print as ints, and -1 * 0 is -0
+there.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from collections.abc import Iterator
 from decimal import (
     MAX_EMAX,
@@ -51,7 +57,7 @@ from decimal import (
     Rounded,
     localcontext,
 )
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, count, cycle, islice
 from operator import mul
 
 # Integer arithmetic on Decimal with no bound on digits or exponent. Every
@@ -77,46 +83,42 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-FactorialState = namedtuple("FactorialState", "n factorial left alt derangement")
-FactorialState.__doc__ = """The running factorial family at one index n.
-
-factorial is n!, left is !n = 0! + 1! + ... + (n-1)!, alt is the sum of
-(-1)^m * m! over 0 <= m < n, and derangement is D_n.
-"""
+def _factorials(one=1):
+    """0!, 1!, 2!, ...: one multiply per step."""
+    return accumulate(count(1), mul, initial=one)
 
 
-_ORIGIN = FactorialState(0, 1, 0, 0, 1)
+def _left_factorials(one=1, start=0):
+    """start + !n for n = 0, 1, 2, ...: !n = 0! + ... + (n-1)!, one add per step."""
+    return accumulate(_factorials(one), initial=one * start)
 
 
-def _advance(s: FactorialState) -> FactorialState:
-    """The state at s.n + 1: one step of every running sum."""
-    n = s.n + 1
-    f = s.factorial * n
-    alt = s.alt - s.factorial if s.n % 2 else s.alt + s.factorial
-    der = n * s.derangement + (-1 if n % 2 else 1)
-    return FactorialState(n, f, s.left + s.factorial, alt, der)
+def _guy_step(g, f):
+    """G_n = n! - G_(n-1), from the terms of guy_alternating's sum."""
+    return f - g
 
 
-def factorial_states(lo: int = 0, hi: int | None = None) -> Iterator[FactorialState]:
-    """The states for n = lo, lo + 1, ..., hi (without end when hi is None)."""
-    s = _ORIGIN
-    while hi is None or s.n <= hi:
-        if s.n >= lo:
-            yield s
-        s = _advance(s)
+def _derangement_step(d, n: int):
+    """D_n = n * D_(n-1) + (-1)^n."""
+    return n * d + (-1 if n % 2 else 1)
 
 
-# The last state a point function read; reads in increasing n cost one step each.
-_factorial_state = _ORIGIN
+class _Rolling:
+    """Point reads of one int scan: a read at or above the last steps the live
+    scan on, one step per index, and a read below it starts the scan again."""
 
+    __slots__ = ("scan", "n", "value", "rest")
 
-def _state(n: int) -> FactorialState:
-    global _factorial_state
-    s = _factorial_state if _factorial_state.n <= n else _ORIGIN
-    while s.n < n:
-        s = _advance(s)
-    _factorial_state = s
-    return s
+    def __init__(self, scan) -> None:
+        self.scan, self.n, self.rest = scan, -1, scan()
+
+    def __call__(self, n: int) -> int:
+        if n < self.n:
+            self.n, self.rest = -1, self.scan()
+        if n > self.n:
+            self.value = next(islice(self.rest, n - self.n - 1, None))
+            self.n = n
+        return self.value
 
 
 def left_factorial(n: int) -> int:
@@ -128,27 +130,25 @@ def left_factorial(n: int) -> int:
     """
     if n < 1:
         raise ValueError("left_factorial requires n >= 1")
-    return _state(n).left
+    return _READS[left_factorial](n)
 
 
 def alt_left_factorial(n: int) -> int:
     """Alternating variant: sum of (-1)^m * m! over 0 <= m < n, with value 0 at n = 0."""
     if n < 0:
         raise ValueError("alt_left_factorial requires n >= 0")
-    return _state(n).alt
+    return _READS[alt_left_factorial](n)
 
 
 def guy_alternating(n: int) -> int:
     """Sum of (-1)^(n-m) * m! over 1 <= m <= n; empty sum is 0.
 
-    Signs are anchored at the top so the m = n term is always +n!. The terms
-    below it are (-1)^n times those of the alternating left factorial
-    without its m = 0 term, so G_n = (-1)^n * (alt(n) - 1) + n!.
+    Signs are anchored at the top so the m = n term is always +n!, and
+    G_n = n! - G_(n-1).
     """
     if n < 0:
         raise ValueError("guy_alternating requires n >= 0")
-    s = _state(n)
-    return (-1) ** n * (s.alt - 1) + s.factorial
+    return _READS[guy_alternating](n)
 
 
 def wagstaff(n: int) -> int:
@@ -241,7 +241,7 @@ def derangement(n: int) -> int:
     """Derangement count via D_n = n * D_{n-1} + (-1)^n, D_0 = 1."""
     if n < 0:
         raise ValueError("derangement requires n >= 0")
-    return _state(n).derangement
+    return _READS[derangement](n)
 
 
 def touchard_poly(n: int) -> tuple[int, ...]:
@@ -256,14 +256,14 @@ def fubini_poly(n: int) -> tuple[int, ...]:
     """Ordered-set-partition polynomial: ascending coefficients k! * S(n, k), k = 0..n."""
     if n < 0:
         raise ValueError("fubini_poly requires n >= 0")
-    return tuple(s.factorial * v for s, v in zip(factorial_states(), _stirling(n)))
+    return tuple(map(mul, _factorials(), _stirling(n)))
 
 
 def kurepa_poly(n: int) -> tuple[int, ...]:
     """Ascending coefficients 0!, 1!, ..., n!; at x = 1 the polynomial sums to !(n+1)."""
     if n < 0:
         raise ValueError("kurepa_poly requires n >= 0")
-    return tuple(s.factorial for s in factorial_states(0, n))
+    return tuple(islice(_factorials(), n + 1))
 
 
 def factorial_sum(n: int) -> int:
@@ -274,7 +274,7 @@ def factorial_sum(n: int) -> int:
     """
     if n < 0:
         raise ValueError("factorial_sum requires n >= 0")
-    return _state(n + 1).left if n else 0
+    return _READS[left_factorial](n + 1) if n else 0
 
 
 def half_left_factorial(n: int) -> int:
@@ -291,50 +291,29 @@ def consecutive_factorial_sum(k: int, n: int) -> int:
     """Sum of n consecutive factorials starting at k!: k! + (k+1)! + ... + (k+n-1)!."""
     if k < 0 or n < 1:
         raise ValueError("consecutive_factorial_sum requires k >= 0 and n >= 1")
-    return sum(s.factorial for s in factorial_states(k, k + n - 1))
+    return sum(islice(_factorials(), k, k + n))
 
 
-def _factorials(hi: int) -> Iterator[Decimal]:
-    """0!, 1!, ..., hi!: one multiply per step."""
-    return accumulate(range(1, hi + 1), mul, initial=Decimal(1))
-
-
-def _derangement_step(d: Decimal, n: int) -> Decimal:
-    """D_n = n * D_(n-1) + (-1)^n."""
-    return n * d + (-1 if n % 2 else 1)
-
-
-def _guy_step(g: Decimal, f: Decimal) -> Decimal:
-    """G_n = n! - G_(n-1), from the terms of guy_alternating's sum."""
-    return f - g
-
-
-def _column(scan):
-    """The values scan(hi) yields for n = lo..hi, computed under EXACT.
-
-    scan(hi) yields the family's values from n = 0 on; the ones below lo,
-    and below the family's first index, are computed and dropped.
-    """
-
-    def column(lo: int, hi: int) -> list[Decimal]:
-        with localcontext(EXACT):
-            return list(islice(scan(hi), lo, hi + 1))
-
-    return column
-
-
-# point function -> its column for n = lo..hi as exact Decimal integers. Each
-# scan carries only the running values its family reads, so a column costs
-# one or two big operations per row, where a FactorialState step costs five.
-DECIMAL_COLUMNS = {
-    factorial: _column(_factorials),
-    # !n = 0! + ... + (n-1)!, and wagstaff is !n - 1
-    left_factorial: _column(lambda hi: accumulate(_factorials(hi), initial=Decimal(0))),
-    wagstaff: _column(lambda hi: accumulate(_factorials(hi), initial=Decimal(-1))),
-    alt_left_factorial: _column(lambda hi: accumulate(map(mul, _factorials(hi), cycle((1, -1))), initial=Decimal(0))),
-    guy_alternating: _column(lambda hi: accumulate(islice(_factorials(hi), 1, None), _guy_step, initial=Decimal(0))),
+# point function -> the scan of its family: scan(one) yields the values at
+# n = 0, 1, 2, ... without end, exact in one's number type (1, or Decimal(1)
+# under EXACT). Values below the family's first index are the scan's own.
+SCANS = {
+    factorial: _factorials,
+    left_factorial: _left_factorials,
+    wagstaff: lambda one=1: _left_factorials(one, -1),
+    alt_left_factorial: lambda one=1: accumulate(map(mul, _factorials(one), cycle((1, -1))), initial=one - 1),
+    guy_alternating: lambda one=1: accumulate(islice(_factorials(one), 1, None), _guy_step, initial=one - 1),
     # r_n = !(n+1) / 2, halving a nonnegative value, so // is the floor; !1 // 2 = 0 = r_0
-    half_left_factorial: _column(lambda hi: (v // 2 for v in accumulate(_factorials(hi)))),
-    derangement: _column(lambda hi: accumulate(range(1, hi + 1), _derangement_step, initial=Decimal(1))),
-    bell: _column(lambda hi: map(decimal_bell, range(hi + 1))),
+    half_left_factorial: lambda one=1: (v // 2 for v in islice(_left_factorials(one), 1, None)),
+    derangement: lambda one=1: accumulate(count(1), _derangement_step, initial=one),
+    bell: lambda one=1: (_bell_family(1, n, type(one)) for n in count()),
 }
+
+# the point functions' rolling reads; wagstaff, factorial_sum and r read the left factorials'
+_READS = {func: _Rolling(SCANS[func]) for func in (left_factorial, alt_left_factorial, guy_alternating, derangement)}
+
+
+def column(func, lo: int, hi: int, one: int | Decimal = 1) -> list:
+    """func(n) for n = lo..hi from its family's scan, in one's number type, computed under EXACT."""
+    with localcontext(EXACT):
+        return list(islice(SCANS[func](one), lo, hi + 1))

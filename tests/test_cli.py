@@ -1,8 +1,10 @@
 """End-to-end CLI behaviour: formats, exit codes, caps, and file output."""
 
 import csv
+import functools
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -15,12 +17,13 @@ from importlib import resources
 
 import jsonschema
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kurepa import cli
 from kurepa.cli import main, render_csv
 from kurepa.efactor import EScaled
-from kurepa.sequences import DECIMAL_COLUMNS, bell
+from kurepa import sequences
+from kurepa.sequences import SCANS, bell
 
 
 @pytest.fixture(scope="module")
@@ -248,19 +251,49 @@ def test_no_digit_limit_prints_5000_digits(capsys, monkeypatch, fmt):
     assert "1" + "0" * 4999 in out
 
 
-DECIMAL_FAMILIES = sorted(name for name, (func, _) in cli.SEQUENCES.items() if func in DECIMAL_COLUMNS)
+SCANNED_FAMILIES = sorted(name for name, (func, _) in cli.SEQUENCES.items() if func in SCANS)
+ORACLE_MAX = 400
 
 
+@functools.cache
+def oracle() -> dict[str, list[int]]:
+    """Each scanned seq family at n = 0..ORACLE_MAX by plain loops over
+    math.factorial, sharing nothing with kurepa.sequences."""
+    f = [math.factorial(n) for n in range(ORACLE_MAX + 2)]
+    left = [sum(f[m] for m in range(n)) for n in range(ORACLE_MAX + 2)]
+    # B_(n+1) = sum_k C(n, k) B_k, with C(n, k) from factorials
+    bell_values = [1]
+    for n in range(ORACLE_MAX):
+        bell_values.append(sum(f[n] // (f[k] * f[n - k]) * bell_values[k] for k in range(n + 1)))
+    loops = {
+        "factorial": lambda n: f[n],
+        "left_factorial": lambda n: left[n],
+        "wagstaff": lambda n: left[n] - 1,
+        "alt_left": lambda n: sum((-1) ** m * f[m] for m in range(n)),
+        "guy_alt": lambda n: sum((-1) ** (n - m) * f[m] for m in range(1, n + 1)),
+        "r": lambda n: left[n + 1] // 2 if n else 0,
+        # inclusion-exclusion, not the recurrence: D_n = sum_k (-1)^k n!/k!
+        "derangement": lambda n: sum((-1) ** k * (f[n] // f[k]) for k in range(n + 1)),
+        "bell": bell_values.__getitem__,
+    }
+    assert sorted(loops) == SCANNED_FAMILIES
+    return {name: [loop(n) for n in range(ORACLE_MAX + 1)] for name, loop in loops.items()}
+
+
+# no deadline: the first example builds the oracle
+@settings(deadline=None)
 @given(st.data())
 def test_decimal_columns_print_the_int_point_values(data):
-    name = data.draw(st.sampled_from(DECIMAL_FAMILIES))
+    name = data.draw(st.sampled_from(SCANNED_FAMILIES))
     func, min_n = cli.SEQUENCES[name]
-    lo = data.draw(st.integers(min_value=min_n, max_value=400))
-    hi = data.draw(st.integers(min_value=lo, max_value=400))
-    values = [str(func(n)) for n in range(lo, hi + 1)]
+    lo = data.draw(st.integers(min_value=min_n, max_value=ORACLE_MAX))
+    hi = data.draw(st.integers(min_value=lo, max_value=ORACLE_MAX))
+    ns = range(lo, hi + 1)
+    assert [func(n) for n in ns] == oracle()[name][lo : hi + 1], name
+    values = [str(func(n)) for n in ns]
     expected = {
         "plain": "".join(f"{v}\n" for v in values),
-        "csv": f"n,{name}\n" + "".join(f"{n},{v}\n" for n, v in zip(range(lo, hi + 1), values)),
+        "csv": f"n,{name}\n" + "".join(f"{n},{v}\n" for n, v in zip(ns, values)),
     }
     for fmt, text in expected.items():
         out = io.StringIO()
@@ -268,6 +301,33 @@ def test_decimal_columns_print_the_int_point_values(data):
             code = main(["seq", name, str(lo), str(hi), "--format", fmt])
         assert code == 0
         assert out.getvalue() == text, (name, lo, hi, fmt)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["seq", name, str(lo), str(hi), "--format", "json"])
+    assert code == 0
+    assert json.loads(out.getvalue())["rows"] == [[n, oracle()[name][n]] for n in ns], (name, lo, hi, "json")
+
+
+def test_point_reads_interleave_families():
+    # each family rolls its own scan, so a read of one never moves another's,
+    # and a read below a family's last one starts that family again
+    reads = [
+        (sequences.left_factorial, 300, "left_factorial", 300),
+        (sequences.derangement, 5, "derangement", 5),
+        (sequences.left_factorial, 301, "left_factorial", 301),
+        (sequences.alt_left_factorial, 7, "alt_left", 7),
+        (sequences.factorial_sum, 299, "left_factorial", 300),
+        (sequences.guy_alternating, 2, "guy_alt", 2),
+        (sequences.derangement, 400, "derangement", 400),
+        (sequences.guy_alternating, 1, "guy_alt", 1),
+        (sequences.wagstaff, 250, "wagstaff", 250),
+        (sequences.alt_left_factorial, 3, "alt_left", 3),
+        (sequences.half_left_factorial, 300, "r", 300),
+        (sequences.derangement, 399, "derangement", 399),
+        (sequences.left_factorial, 1, "left_factorial", 1),
+    ]
+    for func, n, name, at in reads:
+        assert func(n) == oracle()[name][at], (func.__name__, n)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv"])
