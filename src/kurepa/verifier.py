@@ -41,7 +41,7 @@ HISTOGRAM_BUCKETS = 256
 DEFAULT_LANES = 4096
 SIEVE_SEGMENT = 1 << 18
 # modulus width from which _advance reduces by Barrett rather than %
-BARRETT_BITS = 16_000
+BARRETT_BITS = 8_000
 CHECKPOINT_INTERVAL = 30.0
 
 
@@ -122,10 +122,11 @@ def _advance(d: int, m: int, end: int, modulus: int) -> int:
       the estimate would fall short by about x // 2**(2k) moduli.
 
     Measured on 2 vCPUs with CPython 3.11, advancing 30 000 steps near 1e5
-    (medians of 7 alternating runs, three trials): Barrett runs 1.04-1.23x
-    as fast as % at 8 000 bits, 1.05-1.40x at 16 000 and 1.24-1.69x at
-    68 000 (a full block's product); near 1e6 at the 1 500 bits of a
-    frontier block, 0.91-0.98x.
+    (medians of 7 alternating runs, three trials, one pinned CPU): Barrett
+    runs 1.11-1.12x as fast as % at 8 000 bits, 1.14-1.19x at 12 000,
+    1.05-1.40x at 16 000 and 1.24-1.69x at 68 000 (a full block's
+    product); at 4 000 bits 0.74-1.15x, and near 1e6 at the 1 500 bits of
+    a frontier block, 0.91-0.98x.
     """
     k = modulus.bit_length()
     step = max(64, k // end.bit_length())
