@@ -80,8 +80,8 @@ def scan_altered(a: int, ns: Iterable[int]) -> list[AlteredScanRow]:
         raise ValueError("scan_altered requires n >= 0")
     values = [math.gcd(a, a + 2)]
     g = 1  # gcd(!1 + a, 1!)
-    # left = !m = F_n at m = n + 1; range comes first, so zip reads no extra value
-    for m, left in zip(range(2, max(ns, default=0) + 2), islice(SCANS[left_factorial](), 2, None)):
+    # left = !m = F_n at m = n + 1
+    for m, left in enumerate(islice(SCANS[left_factorial](), 2, max(ns, default=0) + 2), 2):
         g = math.gcd(left + a, m * g)
         values.append(g)
     return [AlteredScanRow(n=n, value=values[n]) for n in ns]
