@@ -139,7 +139,12 @@ def test_run_is_the_exact_map_of_its_steps(a, length, cut):
     assert verifier._run(a, a) == (1, 0)
 
 
-@pytest.mark.parametrize("bits", [verifier.BARRETT_BITS - 1, verifier.BARRETT_BITS, verifier.BARRETT_BITS + 1])
+# widths either side of the threshold, and either side of 16 000 bits, deep
+# in the Barrett route, where the moduli are near a full block's product
+@pytest.mark.parametrize(
+    "bits",
+    [verifier.BARRETT_BITS - 1, verifier.BARRETT_BITS, verifier.BARRETT_BITS + 1, 15_999, 16_000, 16_001],
+)
 @pytest.mark.parametrize("shape", ["low", "high", "random"])
 def test_advance_either_side_of_the_route_threshold(bits, shape):
     # the extreme moduli of a width stress Barrett's correction step
