@@ -22,7 +22,9 @@ included, so the 4300-digit wall is the same in every format: a table that
 cannot be printed exits 2 with the interpreter's message, without writing
 a byte or creating the --out file.
 
-Exit codes: 0 success, 10 counterexample found, 2 usage, 3 I/O, 130 Ctrl-C.
+Exit codes: 0 success, 10 counterexample found, 2 usage, 3 I/O, 130 Ctrl-C
+(SIGINT), 143 SIGTERM during `verify`. Either signal saves the committed
+prefix of a `verify` run with --checkpoint before the exit.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 10
 EXIT_USAGE = 2
 EXIT_IO = 3
-# the shell's code for a process ended by SIGINT (128 + 2)
+# the shell's codes for a process ended by SIGINT (128 + 2) and SIGTERM (128 + 15)
 EXIT_INTERRUPTED = 130
+EXIT_TERMINATED = 143
 
 MAX_N_ENV = "KUREPA_MAX_N"
 DEFAULT_MAX_N = 5000
@@ -85,6 +88,14 @@ SEQUENCES = {
 
 class UsageError(Exception):
     """Bad arguments caught after parsing: wrong range, capped size."""
+
+
+class Terminated(BaseException):
+    """SIGTERM during `verify`: it unwinds the search as Ctrl-C does, saving the prefix."""
+
+
+def _terminate(signum, frame):
+    raise Terminated
 
 
 class Table:
@@ -222,19 +233,25 @@ def _build_seq(args) -> Table:
 
 
 def _build_verify(args) -> Table:
+    import signal
+
     from .verifier import canonical_report, run_search
 
     if args.lo < 3:
         raise UsageError("lo must be at least 3")
     if args.hi <= args.lo:
         raise UsageError("need lo < hi")
-    ck = run_search(
-        args.lo,
-        args.hi,
-        workers=args.workers,
-        histogram=args.histogram,
-        checkpoint_path=args.checkpoint,
-    )
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        ck = run_search(
+            args.lo,
+            args.hi,
+            workers=args.workers,
+            histogram=args.histogram,
+            checkpoint_path=args.checkpoint,
+        )
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     rows = [
         ["version", ck.version],
         ["lo", ck.lo],
@@ -496,11 +513,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"kurepa: {exc}", file=sys.stderr)
         return EXIT_IO
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, Terminated) as exc:
         checkpoint = getattr(args, "checkpoint", None)
         saved = f"; progress saved in {checkpoint}" if checkpoint else ""
-        print(f"kurepa: interrupted{saved}", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        terminated = isinstance(exc, Terminated)
+        print(f"kurepa: {'terminated' if terminated else 'interrupted'}{saved}", file=sys.stderr)
+        return EXIT_TERMINATED if terminated else EXIT_INTERRUPTED
     return table.exit_code
 
 

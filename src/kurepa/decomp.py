@@ -4,13 +4,12 @@ A decomposition is a tuple of (index, coefficient) pairs, and a basis is
 named by a string. The unsigned (Bell) basis admits a greedy canonical
 form, which the `decomp` subcommand prints. Published decompositions over
 either basis, signed (complementary Bell) included, are only checked: report
-re-sums the terms of the bundled fixtures, (label, value, basis, terms)
-tuples, and compares them with their targets.
+reads them from data/decompositions.txt, re-sums their terms with
+basis_coefficient and compares them with their targets.
 """
 
 from __future__ import annotations
 
-import os
 from decimal import Decimal, localcontext
 from itertools import islice
 
@@ -89,26 +88,3 @@ def log_left_factorial(n: int, base="e", digits: int = 15) -> str:
             ln /= Decimal(int(base)).ln()
         return format_significant(ln, digits)
 
-
-def load_fixtures() -> tuple[tuple[str, int, str, tuple[tuple[int, int], ...]], ...]:
-    """Published decomposition rows from the bundled plain-text data file.
-
-    Format: one row per line, `target_label target_value basis idx:coeff ...`;
-    blank lines and # comments are skipped. Each row comes back as
-    (label, value, basis, terms), terms being the printed (index, coeff) pairs.
-    """
-    # a plain open, since importlib.resources loads pathlib, tempfile and zipfile
-    path = os.path.join(os.path.dirname(__file__), "data", "decompositions.txt")
-    with open(path, encoding="ascii") as fh:
-        text = fh.read()
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        label, value, basis, *raw = line.split()
-        terms = tuple(
-            (int(i), int(c)) for i, c in (pair.split(":") for pair in raw)
-        )
-        out.append((label, int(value), basis, terms))
-    return tuple(out)

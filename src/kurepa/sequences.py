@@ -15,12 +15,12 @@ copy of its family's scan, so reads in increasing n cost one step each
 and a lower n starts the scan again; and `gcdlab`, `decomp` and the
 polynomials here walk a fresh scan. `factorial` itself is math.factorial.
 
-`bell_rows` builds Aitken's array for a_(n+1) = sign * sum_k C(n, k) a_k:
-sign +1 gives the Bell numbers, -1 the complementary Bell numbers, and
-with a modulus the same rows reduced mod m. Both exact families are
-memoized, so their tables hold O(n^2) bits and one row. Stirling numbers
-come from one rolling row, and a request below it restarts from row 0. No
-cache is locked: nothing reads them concurrently.
+The Bell and complementary Bell numbers are read from Aitken's array for
+a_(n+1) = sign * sum_k C(n, k) a_k, with sign +1 and -1. Both families are
+memoized, so their tables hold O(n^2) bits and one row. The verifier's
+bell_mod builds its own rows mod p and shares no code with them. Stirling
+numbers come from one rolling row, and a request below it restarts from
+row 0. No cache is locked: nothing reads them concurrently.
 
 Every point function returns an int. The JSON `seq` format prints a
 column of ints; csv and plain print a column of exact `Decimal` integers,
@@ -178,21 +178,15 @@ def stirling2(n: int, k: int) -> int:
     return _stirling(n)[k]
 
 
-def bell_rows(sign: int, modulus: int | None = None) -> Iterator[list[int]]:
-    """Rows 0, 1, 2, ... of Aitken's array for a_(n+1) = sign * sum_k C(n, k) a_k, a_0 = 1.
+def _aitken(row: list, sign: int) -> Iterator[list]:
+    """Rows of Aitken's array for a_(n+1) = sign * sum_k C(n, k) a_k, from `row`.
 
     Row n + 1 is the running sums of row n, started from sign times its last
-    entry, and a_n is the first entry of row n (Aitken 1933). With a modulus
-    every entry is reduced mod it, so the rows give a_n mod m.
+    entry, and a_n is the first entry of row n (Aitken 1933).
     """
-    return _aitken([1 if modulus is None else 1 % modulus], sign, modulus)
-
-
-def _aitken(row: list, sign: int, modulus: int | None = None) -> Iterator[list]:
     while True:
         yield row
-        sums = accumulate(row, initial=sign * row[-1])
-        row = list(sums) if modulus is None else [v % modulus for v in sums]
+        row = list(accumulate(row, initial=sign * row[-1]))
 
 
 # Per (number type, sign): the values a_0, a_1, ... found so far and the live

@@ -33,7 +33,6 @@ from collections.abc import Iterator, Sequence
 from itertools import accumulate, chain, islice
 from operator import mul
 
-from .sequences import bell_rows
 
 CHECKPOINT_VERSION = 1
 HISTOGRAM_BUCKETS = 256
@@ -382,12 +381,20 @@ def _block_results(blocks: Iterator[list[int]], workers: int) -> Iterator[tuple[
         return
     # the pool import costs about 20 ms, so only a parallel run pays it
     import multiprocessing
+
+    with multiprocessing.Pool(workers, initializer=_worker_signals) as pool:
+        yield from pool.imap(_block_worker, blocks)
+
+
+def _worker_signals() -> None:
     import signal
 
-    # Ctrl-C at a terminal signals the workers too; they ignore it and
-    # leave the interrupt to the caller, which terminates them
-    with multiprocessing.Pool(workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-        yield from pool.imap(_block_worker, blocks)
+    # Ctrl-C at a terminal signals the workers too; they ignore it and leave
+    # the interrupt to the caller, which terminates them. Pool.terminate
+    # sends SIGTERM, so a worker drops any handler the caller installed for
+    # it and ends at once, printing nothing.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def run_search(
@@ -464,11 +471,16 @@ def run_search(
 def bell_mod(n: int, p: int) -> int:
     """Bell number B_n mod p: row n of the Bell triangle with every entry reduced mod p.
 
-    It shares no arithmetic with left_factorial_mod, so the congruence
-    !p = B_(p-1) - 1 (mod p) compares two independent algorithms.
+    Row k + 1 is the running sums of row k, started from its last entry. It
+    shares no arithmetic with left_factorial_mod, nor code with the exact
+    Bell memo in sequences, so the congruence !p = B_(p-1) - 1 (mod p)
+    compares two independent algorithms.
     """
     if n < 0:
         raise ValueError("bell_mod requires n >= 0")
     if p < 1:
         raise ValueError("bell_mod requires p >= 1")
-    return next(islice(bell_rows(1, p), n, None))[0]
+    row = [1 % p]
+    for _ in range(n):
+        row = [v % p for v in accumulate(row, initial=row[-1])]
+    return row[0]

@@ -8,10 +8,9 @@ from kurepa.decomp import (
     basis_coefficient,
     greedy_bell_decomposition,
     kurepa_sequence_sum,
-    load_fixtures,
     log_left_factorial,
 )
-from kurepa.report import decomposition_rows, log_rows
+from kurepa.report import decomposition_rows, load_fixtures, log_rows
 from kurepa.sequences import bell, complementary_bell, left_factorial
 
 
@@ -88,17 +87,17 @@ def test_verify_decomposition_accepts_published_terms():
 
 
 def test_fixture_terms_are_nonnegative():
-    for label, _, _, terms in load_fixtures():
+    for label, _, _, _, terms, _ in load_fixtures():
         assert all(i >= 0 and c >= 0 for i, c in terms), label
 
 
 def test_fixture_catalogue():
     fixtures = load_fixtures()
     assert len(fixtures) == 22
-    by_label = {label: (value, basis) for label, value, basis, _ in fixtures}
+    by_label = {label: (value, basis) for label, _, value, basis, _, _ in fixtures}
     assert by_label["t2.k8e"] == (5914, "dobinski")
     # the only bases the fixtures use
-    assert sorted({basis for _, _, basis, _ in fixtures}) == ["bell", "dobinski", "invbell"]
+    assert sorted({basis for _, _, _, basis, _, _ in fixtures}) == ["bell", "dobinski", "invbell"]
     rows = {r.claim_id: r for r in decomposition_rows()}
     assert list(rows) == list(by_label)
     rep = rows["t2.k8e"]

@@ -4,12 +4,17 @@ import re
 
 import pytest
 
+from kurepa import report as report_module
 from kurepa.discrepancy import MATCH, MISMATCH, DiscrepancyReport
 from kurepa.report import (
+    CLAIMS_PATH,
+    COLUMNS,
     full_report,
+    read_rows,
     table1_rows,
     table4_rows,
     table7_rows,
+    table8_rows,
     table10_rows,
 )
 from kurepa.sequences import factorial_sum
@@ -216,3 +221,33 @@ def test_note_excluded_from_equality():
 
 def test_report_is_deterministic(report):
     assert full_report() == report
+
+
+def test_every_column_key_in_the_claims_file_has_one_recomputation():
+    keys = [key for columns in COLUMNS.values() for key in columns]
+    assert len(keys) == len(set(keys)), "a column key is recomputed in two sections"
+    in_file = {claim_id.rpartition(".n")[0] for claim_id, *_ in read_rows(CLAIMS_PATH, 3)}
+    assert in_file == set(keys)
+
+
+def test_changing_one_printed_cell_flips_only_its_row(tmp_path, monkeypatch, report):
+    with open(CLAIMS_PATH, encoding="ascii") as fh:
+        text = fh.read()
+    line = "table8.fone.n3 sec4.table8 10\n"
+    assert text.count(line) == 1
+    mutated = tmp_path / "claims.txt"
+    mutated.write_text(text.replace(line, "table8.fone.n3 sec4.table8 11\n"), encoding="ascii")
+    monkeypatch.setattr(report_module, "CLAIMS_PATH", str(mutated))
+    changed = [(old, new) for old, new in zip(report, full_report()) if (old, old.note) != (new, new.note)]
+    assert [(old.as_line(), new.as_line()) for old, new in changed] == [(
+        "table8.fone.n3,sec4.table8,10,10,match",
+        "table8.fone.n3,sec4.table8,11,10,mismatch",
+    )]
+
+
+def test_a_claim_without_a_recomputation_is_rejected(tmp_path, monkeypatch):
+    bad = tmp_path / "claims.txt"
+    bad.write_text("# one row whose column key nothing recomputes\ntable8.fzero.n1 sec4.table8 1\n")
+    monkeypatch.setattr(report_module, "CLAIMS_PATH", str(bad))
+    with pytest.raises(ValueError, match="table8.fzero.n1"):
+        table8_rows()

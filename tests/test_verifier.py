@@ -513,23 +513,37 @@ def test_checkpoints_do_not_share_a_counterexample_list():
     assert b.counterexamples == []
 
 
-def start_verify_then_interrupt(tmp_path, workers, group=False):
-    """Run `verify 3 1000000` with a checkpoint, let it commit blocks for three
-    seconds, then send SIGINT to the process alone, or with group=True to its
-    whole process group, workers included, as Ctrl-C at a terminal does.
-    Returns the process, the checkpoint path and the monotonic time of the
-    signal."""
+# the real signals `verify` turns into a clean exit: the shell's exit code
+# and the word on its one stderr line
+SIGNALS = [
+    pytest.param(signal.SIGINT, 130, "interrupted", id="SIGINT"),
+    pytest.param(signal.SIGTERM, 143, "terminated", id="SIGTERM"),
+]
+
+# sha256 of the plain output of a straight `verify 3 600000 --histogram`
+STRAIGHT_600K = "db0c42fe921a5235c6b7a5250985f8dcc6c0ec2ef59387f8a5a210671259c4d0"
+
+
+def run_verify(hi, workers, cp, **popen):
+    """Start `verify 3 hi --histogram` with a checkpoint in a new interpreter."""
     import kurepa
 
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
-    cp = tmp_path / "cp.json"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "kurepa", "verify", "3", "1000000", "--workers", str(workers), "--checkpoint", str(cp)],
-        env=dict(os.environ, PYTHONPATH=src_dir),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-        start_new_session=group,
+    argv = ["verify", "3", str(hi), "--histogram", "--workers", str(workers), "--checkpoint", str(cp)]
+    return subprocess.Popen(
+        [sys.executable, "-m", "kurepa", *argv], env=dict(os.environ, PYTHONPATH=src_dir), **popen
     )
+
+
+def start_verify_then_signal(tmp_path, sig, workers, group=False, hi=1_000_000):
+    """Run `verify 3 hi` with a checkpoint, let it commit blocks for three
+    seconds, then send `sig` to the process alone, or with group=True to its
+    whole process group, workers included, as Ctrl-C at a terminal does.
+    Returns the process, the checkpoint path and the monotonic time of the
+    signal."""
+    cp = tmp_path / "cp.json"
+    proc = run_verify(hi, workers, cp, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                      start_new_session=group)
     try:
         deadline = time.monotonic() + 60
         while not cp.exists():
@@ -538,9 +552,9 @@ def start_verify_then_interrupt(tmp_path, workers, group=False):
         # the initial save lies at lo; three seconds of search commit blocks
         time.sleep(3)
         if group:
-            os.killpg(proc.pid, signal.SIGINT)
+            os.killpg(proc.pid, sig)
         else:
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(sig)
         return proc, cp, time.monotonic()
     except BaseException:
         proc.kill()
@@ -548,8 +562,8 @@ def start_verify_then_interrupt(tmp_path, workers, group=False):
         raise
 
 
-def finish_interrupted(proc):
-    """Wait for the interrupted verify and return its stderr."""
+def finish_signalled(proc):
+    """Wait for the signalled verify and return its stderr."""
     try:
         _, err = proc.communicate(timeout=60)
     finally:
@@ -559,50 +573,58 @@ def finish_interrupted(proc):
     return err.decode()
 
 
-def test_sigint_keeps_the_committed_prefix(tmp_path):
+@pytest.mark.parametrize("sig, code, word", SIGNALS)
+def test_signal_keeps_the_committed_prefix(tmp_path, sig, code, word):
     import jsonschema
     from importlib import resources
 
     schema = json.loads(
         resources.files("kurepa.data").joinpath("checkpoint-schema.json").read_text()
     )
-    proc, cp, _ = start_verify_then_interrupt(tmp_path, workers=1)
-    err = finish_interrupted(proc)
-    # Ctrl-C is a clean exit: the shell's 130 and one line naming the file
-    assert proc.returncode == 130
+    proc, cp, _ = start_verify_then_signal(tmp_path, sig, workers=1, hi=600_000)
+    err = finish_signalled(proc)
+    # either signal is a clean exit: the shell's code and one line naming the file
+    assert proc.returncode == code
     assert "Traceback" not in err
-    assert err == f"kurepa: interrupted; progress saved in {cp}\n"
+    assert err == f"kurepa: {word}; progress saved in {cp}\n"
     payload = json.loads(cp.read_text())
     jsonschema.validate(payload, schema)
     assert not payload["finished"]
     assert payload["last_completed"] > 3
+    # the resumed run prints what a straight run prints
+    resumed = run_verify(600_000, 2, cp, stdout=subprocess.PIPE)
+    out, _ = resumed.communicate(timeout=120)
+    assert resumed.returncode == 0
+    assert hashlib.sha256(out).hexdigest() == STRAIGHT_600K
 
 
-def test_sigint_saves_before_waiting_on_workers(tmp_path):
+@pytest.mark.parametrize("sig, code, word", SIGNALS)
+def test_signal_saves_before_waiting_on_workers(tmp_path, sig, code, word):
     # with workers the committed prefix reaches disk at once, not after the
-    # blocks in flight finish, so a kill -9 soon after Ctrl-C loses nothing
-    proc, cp, signalled = start_verify_then_interrupt(tmp_path, workers=2)
+    # blocks in flight finish, so a kill -9 soon after the signal loses nothing
+    proc, cp, signalled = start_verify_then_signal(tmp_path, sig, workers=2)
     try:
         while json.loads(cp.read_text())["last_completed"] <= 3:
-            assert time.monotonic() - signalled < 2, "no save within 2 s of SIGINT"
+            assert time.monotonic() - signalled < 2, f"no save within 2 s of {sig.name}"
             time.sleep(0.01)
     finally:
-        err = finish_interrupted(proc)
-    assert proc.returncode == 130
+        err = finish_signalled(proc)
+    assert proc.returncode == code
     assert "Traceback" not in err
     assert not json.loads(cp.read_text())["finished"]
 
 
-def test_group_sigint_prints_one_line_and_leaves_no_worker(tmp_path):
-    # the workers ignore SIGINT, so none prints a traceback, and the pool's
-    # terminate stops them before the process exits
-    proc, cp, _ = start_verify_then_interrupt(tmp_path, workers=2, group=True)
-    err = finish_interrupted(proc)
+@pytest.mark.parametrize("sig, code, word", SIGNALS)
+def test_group_signal_prints_one_line_and_leaves_no_worker(tmp_path, sig, code, word):
+    # the workers ignore SIGINT and die at once on SIGTERM, so none prints a
+    # traceback, and the pool's terminate stops them before the process exits
+    proc, cp, _ = start_verify_then_signal(tmp_path, sig, workers=2, group=True)
+    err = finish_signalled(proc)
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:
         pass  # nothing of the run's process group is left
     else:
-        pytest.fail("a worker outlived the interrupted run")
-    assert proc.returncode == 130
-    assert err == f"kurepa: interrupted; progress saved in {cp}\n"
+        pytest.fail("a worker outlived the signalled run")
+    assert proc.returncode == code
+    assert err == f"kurepa: {word}; progress saved in {cp}\n"
