@@ -458,7 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("lo", type=int)
     p.add_argument("hi", type=int)
-    p.add_argument("--workers", type=_positive_int, default=1, help="parallel block workers (default 1)")
+    p.add_argument(
+        "--workers", type=_positive_int, default=1, help="parallel block workers, at most one per usable CPU (default 1)"
+    )
     p.add_argument("--checkpoint", metavar="PATH", default=None, help="resumable state file")
     p.add_argument("--histogram", action="store_true", help="accumulate the residue histogram")
 

@@ -11,16 +11,18 @@ product of its primes, followed by a descent down the block's product tree
 "A search for Wilson primes", Math. Comp. 2014). Moduli of BARRETT_BITS or
 more are reduced by Barrett reduction (Barrett, CRYPTO '86). _block_results
 yields the blocks' results in block order, in process (one worker or one
-block) or through multiprocessing.Pool.imap, and one loop in run_search
-commits them, so a checkpoint always describes a clean prefix, also the one
-saved when the run is interrupted; an early exit terminates the pool's
-workers rather than waiting for their blocks. Waiting on the oldest block
-leaves no worker idle, because a later block folds further and so finishes
-later: on a 2-vCPU machine the four blocks of [3, 150064) take about 0.12,
-0.24, 0.40 and 0.24 s of CPU (medians of 7 runs), the last holding 1564
-primes, not 4096.
-Reports are canonical: the same range yields byte-identical output no
-matter the worker count or how often the run was interrupted.
+block) or through the imap of a multiprocessing.Pool of at most one worker
+per usable CPU, and one loop in run_search commits them, so a checkpoint
+always describes a clean prefix, also the one saved on an interrupt; an
+early exit terminates the pool's workers rather than waiting for them.
+Waiting on the oldest block leaves no worker idle, because a later block
+folds further and so finishes later: on a 2-vCPU machine the four blocks of
+[3, 150064) take about 0.12, 0.24, 0.40 and 0.24 s of CPU (medians of 7
+runs), the last holding 1564 primes, not 4096. checkpoint_from_json reads
+each field once, as data/checkpoint-schema.json types it, then the rules
+between fields, so a resumed run cannot report a counterexample it never
+searched. Reports are canonical: the same range yields byte-identical
+output no matter the worker count or how often the run was interrupted.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, chain, islice
@@ -230,11 +233,11 @@ class SearchCheckpoint:
         histogram: list[int] | None = None,
         wall_seconds: float = 0.0,
         finished: bool = False,
-        version: int = CHECKPOINT_VERSION,
     ) -> None:
         self.lo, self.hi, self.last_completed = lo, hi, last_completed
         self.counterexamples = [] if counterexamples is None else counterexamples
-        self.histogram, self.wall_seconds, self.finished, self.version = histogram, wall_seconds, finished, version
+        self.histogram, self.wall_seconds, self.finished = histogram, wall_seconds, finished
+        self.version = CHECKPOINT_VERSION
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SearchCheckpoint):
@@ -246,62 +249,46 @@ class SearchCheckpoint:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise CheckpointFormatError(message)
-
-
-def _is_int(value: object) -> bool:
-    """An integer as JSON Schema counts one: 3 or 3.0, but not 3.5 or true."""
-    if isinstance(value, float):
-        return value.is_integer()
-    return isinstance(value, int) and not isinstance(value, bool)
+def _int(value: object, least: int, name: str) -> int:
+    """value as an int >= least, counting integers as JSON Schema does: 3 and 3.0, not 3.5 or true."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < least:
+        raise CheckpointFormatError(f"{name}: expected an integer >= {least}, got {value!r}")
+    return value
 
 
 def checkpoint_from_json(text: str) -> SearchCheckpoint:
-    """Parse and validate checkpoint JSON; unknown keys are rejected."""
+    """Parse checkpoint JSON: each field once, with its type and minimum in
+    data/checkpoint-schema.json, then the rules its description adds."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CheckpointFormatError(f"checkpoint is not valid JSON: {exc}") from exc
-    _require(isinstance(payload, dict), "checkpoint must be a JSON object")
-    extra = set(payload) - set(_CHECKPOINT_KEYS)
-    missing = set(_CHECKPOINT_KEYS) - set(payload)
-    _require(not extra, f"unknown checkpoint keys: {sorted(extra)}")
-    _require(not missing, f"missing checkpoint keys: {sorted(missing)}")
-    _require(_is_int(payload["version"]) and payload["version"] == CHECKPOINT_VERSION, "unsupported checkpoint version")
-    lo, hi, last = payload["lo"], payload["hi"], payload["last_completed"]
-    _require(all(_is_int(v) for v in (lo, hi, last)), "range fields must be integers")
-    _require(2 <= lo < hi, "checkpoint range must satisfy 2 <= lo < hi")
-    _require(lo <= last <= hi, "last_completed must lie in [lo, hi]")
-    cex = payload["counterexamples"]
-    _require(
-        isinstance(cex, list) and all(_is_int(p) and p >= 3 for p in cex),
-        "counterexamples must be a list of integers >= 3",
-    )
-    hist = payload["histogram"]
-    if hist is not None:
-        _require(
-            isinstance(hist, list)
-            and len(hist) == HISTOGRAM_BUCKETS
-            and all(_is_int(c) and c >= 0 for c in hist),
-            f"histogram must be null or {HISTOGRAM_BUCKETS} nonnegative integers",
-        )
-    wall = payload["wall_seconds"]
-    _require(isinstance(wall, (int, float)) and not isinstance(wall, bool) and wall >= 0, "wall_seconds must be nonnegative")
-    finished = payload["finished"]
-    _require(isinstance(finished, bool), "finished must be a boolean")
-    if finished:
-        _require(last == hi, "a finished checkpoint must have last_completed == hi")
-    return SearchCheckpoint(
-        lo=int(lo),
-        hi=int(hi),
-        last_completed=int(last),
-        counterexamples=[int(p) for p in cex],
-        histogram=[int(c) for c in hist] if hist is not None else None,
-        wall_seconds=float(wall),
-        finished=finished,
-    )
+    if not isinstance(payload, dict) or payload.keys() != set(_CHECKPOINT_KEYS):
+        raise CheckpointFormatError(f"checkpoint must be a JSON object with the keys {sorted(_CHECKPOINT_KEYS)}")
+    if _int(payload["version"], 1, "version") != CHECKPOINT_VERSION:
+        raise CheckpointFormatError("unsupported checkpoint version")
+    lo, hi = _int(payload["lo"], 2, "lo"), _int(payload["hi"], 3, "hi")
+    last = _int(payload["last_completed"], 2, "last_completed")
+    cex, hist = payload["counterexamples"], payload["histogram"]
+    if not isinstance(cex, list):
+        raise CheckpointFormatError("counterexamples must be a list")
+    cex = [_int(p, 3, "counterexamples") for p in cex]
+    if hist is not None and not (isinstance(hist, list) and len(hist) == HISTOGRAM_BUCKETS):
+        raise CheckpointFormatError(f"histogram must be null or a list of {HISTOGRAM_BUCKETS}")
+    hist = None if hist is None else [_int(c, 0, "histogram") for c in hist]
+    wall, finished = payload["wall_seconds"], payload["finished"]
+    # NaN fails any comparison, and an int past the largest double has no float
+    if type(wall) not in (int, float) or not 0 <= wall <= sys.float_info.max:
+        raise CheckpointFormatError("wall_seconds must be a finite number >= 0")
+    if type(finished) is not bool:
+        raise CheckpointFormatError("finished must be a boolean")
+    if not (lo < hi and lo <= last <= hi) or finished and last != hi:
+        raise CheckpointFormatError("checkpoint needs lo < hi, lo <= last_completed <= hi, and hi reached if finished")
+    if cex != sorted(set(cex)) or not all(lo <= p < last for p in cex):
+        raise CheckpointFormatError("counterexamples must increase strictly within [lo, last_completed)")
+    return SearchCheckpoint(lo, hi, last, cex, hist, float(wall), finished)
 
 
 def load_checkpoint(path: str) -> SearchCheckpoint:
@@ -359,6 +346,7 @@ def _chunked(it: Iterator[int], size: int) -> Iterator[list[int]]:
 def _block_results(blocks: Iterator[list[int]], workers: int) -> Iterator[tuple[int, list[int], list[int]]]:
     """Yield _block_worker(block) for each block, in block order.
 
+    Workers are capped at the usable CPUs, as more would only share them.
     One worker, or a single block, runs in process: a pool would only add
     its import, the forks and a pipe. Otherwise the workers share a
     multiprocessing.Pool, whose imap hands out blocks first in, first out
@@ -376,6 +364,7 @@ def _block_results(blocks: Iterator[list[int]], workers: int) -> Iterator[tuple[
     """
     head = list(islice(blocks, 2))
     blocks = chain(head, blocks)
+    workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if workers == 1 or len(head) < 2:
         yield from map(_block_worker, blocks)
         return

@@ -241,39 +241,97 @@ def test_checkpoint_round_trip(tmp_path):
     assert os.listdir(tmp_path) == ["cp.json"]
 
 
-@pytest.mark.parametrize(
-    "mutation",
-    [
-        {"extra_key": 1},
-        {"version": 2},
-        {"version": True},
-        {"lo": 1},
-        {"lo": "3"},
-        {"hi": 3},
-        {"last_completed": 101},
-        {"last_completed": 2},
-        {"counterexamples": "none"},
-        {"counterexamples": [True]},
-        {"counterexamples": [0]},
-        {"counterexamples": [2]},
-        {"histogram": [0] * 255},
-        {"histogram": [-1] + [0] * 255},
-        {"wall_seconds": -0.5},
-        {"wall_seconds": True},
-        {"finished": "yes"},
-        {"finished": True},
-        {"lo": 3.5},
-        {"hi": float("inf")},
-        {"counterexamples": [7.5]},
-        {"histogram": [0.5] + [0] * 255},
-    ],
-)
-def test_checkpoint_rejects_bad_payloads(mutation):
+# counterexamples that no run can have written, and a wall_seconds that
+# to_json could not write back as JSON
+IMPOSSIBLE = [
+    {"counterexamples": [7, 5000]},
+    {"counterexamples": [11, 7, 7, 97]},
+    {"counterexamples": [11, 7]},
+    {"counterexamples": [7, 7]},
+    {"counterexamples": [7, 50]},
+    {"lo": 5, "counterexamples": [3]},
+    {"wall_seconds": float("inf")},
+    {"wall_seconds": float("nan")},
+    {"wall_seconds": 10**400},
+]
+
+BAD_PAYLOADS = [
+    {"extra_key": 1},
+    {"version": 2},
+    {"version": True},
+    {"lo": 1},
+    {"lo": "3"},
+    {"hi": 3},
+    {"last_completed": 101},
+    {"last_completed": 2},
+    {"counterexamples": "none"},
+    {"counterexamples": [True]},
+    {"counterexamples": [0]},
+    {"counterexamples": [2]},
+    {"histogram": [0] * 255},
+    {"histogram": [-1] + [0] * 255},
+    {"wall_seconds": -0.5},
+    {"wall_seconds": True},
+    {"finished": "yes"},
+    {"finished": True},
+    {"lo": 3.5},
+    {"hi": float("inf")},
+    {"counterexamples": [7.5]},
+    {"histogram": [0.5] + [0] * 255},
+    *IMPOSSIBLE,
+]
+
+# what the loader rejects but no keyword of the schema can: the rules between
+# fields and a finite wall_seconds, which the schema's description names
+# (IMPOSSIBLE's own dicts, so that the NaN one is found in it)
+LOADER_ONLY = [{"hi": 3}, {"last_completed": 101}, {"last_completed": 2}, {"finished": True}, *IMPOSSIBLE]
+
+
+def bad_payload(mutation):
     payload = valid_payload(**mutation)
     if "extra_key" in mutation:
         payload["extra_key"] = 1
+    return payload
+
+
+@pytest.mark.parametrize("mutation", BAD_PAYLOADS)
+def test_checkpoint_rejects_bad_payloads(mutation):
     with pytest.raises(CheckpointFormatError):
-        checkpoint_from_json(json.dumps(payload))
+        checkpoint_from_json(json.dumps(bad_payload(mutation)))
+
+
+@pytest.mark.parametrize("mutation", [m for m in BAD_PAYLOADS if m not in LOADER_ONLY])
+def test_schema_rejects_every_per_field_mutation(mutation):
+    import jsonschema
+
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(json.loads(json.dumps(bad_payload(mutation))), checkpoint_schema())
+
+
+# any JSON value a field might hold: right and wrong types, integral floats,
+# non-finite floats, and lists short and histogram-long
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-1, 120),
+    st.integers(-1, 120).map(float),
+    st.floats(),
+    st.sampled_from(["", "3", "yes"]),
+    st.lists(st.integers(0, 120), max_size=4),
+    st.sampled_from([0, 2.0, -1, 0.5, True]).map(lambda c: [c] + [1] * (HISTOGRAM_BUCKETS - 1)),
+)
+
+
+@given(overrides=st.dictionaries(st.sampled_from(sorted(valid_payload())), JSON_VALUES, max_size=3))
+def test_every_checkpoint_the_loader_accepts_validates(overrides):
+    import jsonschema
+
+    text = json.dumps(valid_payload(**overrides))
+    try:
+        checkpoint_from_json(text)
+    except CheckpointFormatError:
+        return
+    jsonschema.validate(json.loads(text), checkpoint_schema())
 
 
 def test_checkpoint_rejects_missing_key_and_non_object():
@@ -356,6 +414,46 @@ def test_worker_counts_agree(monkeypatch):
     assert canonical_report(a) == canonical_report(b)
     # a finished parallel run leaves no worker behind
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, pool",
+    [
+        pytest.param({0, 1}, 64, [2], id="two-usable-of-64"),
+        pytest.param({0, 1, 2}, 3, [3], id="three-usable"),
+        pytest.param({0}, 64, [], id="one-usable-runs-in-process"),
+        pytest.param(None, 4, [4], id="no-affinity-cpu-count"),
+        pytest.param(None, None, [], id="no-affinity-unknown-count"),
+    ],
+)
+def test_pool_holds_at_most_one_worker_per_usable_cpu(monkeypatch, affinity, cpu_count, pool):
+    sizes = []
+
+    class RecordingPool:
+        """multiprocessing.Pool's part that _block_results uses, in process: it starts nothing."""
+
+        def __init__(self, processes, initializer=None):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable):
+            return map(func, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(verifier, "DEFAULT_LANES", 256)
+    ck = run_search(3, 20_000, workers=5000)
+    assert sizes == pool
+    assert canonical_report(ck) == canonical_report(run_search(3, 20_000))
 
 
 def test_canonical_report_hides_wall_seconds():
