@@ -1,7 +1,7 @@
 """Exact workbench for left factorials and their Bell-number relatives.
 
 Everything integer-valued is computed with arbitrary-precision ints,
-values on the e scale keep their rational coefficient and integer e power,
+values on the e scale keep their integer coefficient and integer e power,
 and the few genuinely real-valued checks run in decimal at a declared
 precision, so the package needs only the standard library. Published
 claims are re-checked, never assumed: see report.

@@ -9,13 +9,13 @@ data/output-schema.json. The renderers are line generators, and main writes
 each line as it is produced, so output memory is one line plus the table's
 values, however long the table.
 
-`seq` reads a family's whole column from its scan in `sequences.SCANS`
-where it has one, in every format. csv and plain print with str(), which
-is quadratic in the digit count for an int and linear for a Decimal, so
-there the column is of exact Decimals, and `decomp` runs the greedy on a
-Decimal target, whose value column reads the Decimal Bell memo. JSON keeps
-ints: its encoder writes them itself, and converting a Decimal to int costs
-more than printing the int.
+`seq` reads every family's whole column from its scan in `sequences.SCANS`,
+in every format. csv and plain print with str(), which is quadratic in the
+digit count for an int and linear for a Decimal, so there the column is of
+exact Decimals (`invbell`'s scan yields ints in every format), and `decomp`
+runs the greedy on a Decimal target, whose value column reads the Decimal
+Bell memo. JSON keeps ints: its encoder writes them itself, and converting
+a Decimal to int costs more than printing the int.
 Before the destination is opened, main checks the widest number the format
 will print against the interpreter's int-to-str digit limit, Decimals
 included, so the 4300-digit wall is the same in every format: a table that
@@ -34,14 +34,12 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 # SEQUENCES holds functions of sequences and efactor; every other layer is
 # imported by the builder that runs it, so a subcommand loads only its own
 from .discrepancy import MISMATCH
 from .efactor import GUARD_DIGITS, EScaled, dobinski, fermi, format_significant
 from .sequences import (
-    SCANS,
     alt_left_factorial,
     bell,
     column,
@@ -156,14 +154,11 @@ def render_plain(lines) -> str:
 
 
 def _numbers(cells) -> Iterator[int | Decimal]:
-    """Every integer printed for cells: ints, Decimals, the terms of fractions, and what lists and dicts hold."""
+    """Every integer printed for cells: ints, Decimals, EScaled coefficients, and what lists and dicts hold."""
     for cell in cells:
         if isinstance(cell, EScaled):
             cell = cell.coeff
-        if isinstance(cell, Fraction):
-            yield cell.numerator
-            yield cell.denominator
-        elif isinstance(cell, (int, Decimal)):
+        if isinstance(cell, (int, Decimal)):
             yield cell
         elif isinstance(cell, list):
             yield from _numbers(cell)
@@ -220,13 +215,12 @@ def _build_seq(args) -> Table:
     if args.n_hi < args.n_lo:
         raise UsageError("need n_lo <= n_hi")
     _check_cap("n_hi", args.n_hi)
-    ns = range(args.n_lo, args.n_hi + 1)
     one = 1 if args.format == "json" else Decimal(1)
-    values = column(func, args.n_lo, args.n_hi, one) if func in SCANS else [func(n) for n in ns]
+    values = column(func, args.n_lo, args.n_hi, one)
     return Table(
         command="seq",
         columns=["n", args.name],
-        rows=[[n, v] for n, v in zip(ns, values)],
+        rows=[[n, v] for n, v in enumerate(values, args.n_lo)],
         summary={"sequence": args.name, "n_lo": args.n_lo, "n_hi": args.n_hi, "count": len(values)},
         plain=map(str, values),
     )

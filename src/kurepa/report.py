@@ -545,7 +545,7 @@ def kad_rows() -> list[DiscrepancyReport]:
 
 def fermi_rows() -> list[DiscrepancyReport]:
     """Shifted-exponent values and their printed aggregate through n = 8."""
-    agg = fermi(1) + 8 * fermi(2) + 2 * fermi(3) + 56 * fermi(4) + fermi(5) + 4 * fermi(6)
+    agg = EScaled(bell(1) + 8 * bell(2) + 2 * bell(3) + 56 * bell(4) + bell(5) + 4 * bell(6), 2)
     return _printed("fermi") + [
         compare("sec6.fermiagg.kseq8", "sec6.fermi", _cell(EScaled(kurepa_sequence_sum(8), 2)),
                 _cell(agg), "printed coefficients reproduce the bell-basis proof sum 1731")

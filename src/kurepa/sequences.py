@@ -22,21 +22,22 @@ bell_mod builds its own rows mod p and shares no code with them. Stirling
 numbers come from one rolling row, and a request below it restarts from
 row 0. No cache is locked: nothing reads them concurrently.
 
-Every point function returns an int. The JSON `seq` format prints a
-column of ints; csv and plain print a column of exact `Decimal` integers,
-computed under the `EXACT` context (no bound on digits or exponent; any
-rounding or invalid operation raises). `column` enters that context, so no
-value depends on the caller's. csv and plain print with `str()`, which is
-linear in the digit count for a `Decimal` and quadratic for an int, and
-converting a finished int to `Decimal` costs about as much as printing it,
-so a column is a `Decimal` from its first step. The rule: a family gets a
-scan only where its `seq` op gets faster with it. The factorial family
-does, by 5-8x at n = 1500. So does `bell`, by a little, because its
-triangle adds about as fast in `Decimal`; the Bell triangle keeps one memo
-per number type, its scan reads them, and `decomp` reads the `Decimal`
-one. `invbell` does not, so it stays on ints: its signed triangle adds
-more slowly in `Decimal` than its values print as ints, and -1 * 0 is -0
-there.
+Every point function returns an int, and every `seq` family has a scan in
+`SCANS`, which `seq` reads in every format; `efactor` adds the Dobinski
+and Fermi scans, which wrap the Bell scan in e^s. The JSON `seq` format
+prints a column of ints; csv and plain print a column of exact `Decimal`
+integers, computed under the `EXACT` context (no bound on digits or
+exponent; any rounding or invalid operation raises). `column` enters that
+context, so no value depends on the caller's. csv and plain print with
+`str()`, which is linear in the digit count for a `Decimal` and quadratic
+for an int, and converting a finished int to `Decimal` costs about as much
+as printing it, so a column is a `Decimal` from its first step. That makes
+the factorial family's csv 5-8x faster at n = 1500, and `bell`'s a little
+faster, as its triangle adds about as fast in `Decimal`; the Bell triangle
+keeps one memo per number type, its scan reads them, and `decomp` reads
+the `Decimal` one. The `invbell` scan yields ints in every format: its
+signed triangle adds more slowly in `Decimal` than its values print as
+ints, and -1 * 0 is -0 there.
 """
 
 from __future__ import annotations
@@ -291,6 +292,7 @@ def consecutive_factorial_sum(k: int, n: int) -> int:
 # point function -> the scan of its family: scan(one) yields the values at
 # n = 0, 1, 2, ... without end, exact in one's number type (1, or Decimal(1)
 # under EXACT). Values below the family's first index are the scan's own.
+# efactor adds the e-scaled families, which wrap the Bell scan.
 SCANS = {
     factorial: _factorials,
     left_factorial: _left_factorials,
@@ -301,6 +303,8 @@ SCANS = {
     half_left_factorial: lambda one=1: (v // 2 for v in islice(_left_factorials(one), 1, None)),
     derangement: lambda one=1: accumulate(count(1), _derangement_step, initial=one),
     bell: lambda one=1: (_bell_family(1, n, type(one)) for n in count()),
+    # ints whatever one is: see the module docstring
+    complementary_bell: lambda one=1: (_bell_family(-1, n) for n in count()),
 }
 
 # the point functions' rolling reads; wagstaff, factorial_sum and r read the left factorials'

@@ -12,8 +12,8 @@ import sys
 import tracemalloc
 from contextlib import redirect_stdout
 from decimal import Decimal
-from fractions import Fraction
 from importlib import resources
+from itertools import count
 
 import jsonschema
 import pytest
@@ -23,7 +23,7 @@ from kurepa import cli
 from kurepa.cli import main, render_csv
 from kurepa.efactor import EScaled
 from kurepa import sequences
-from kurepa.sequences import SCANS, bell
+from kurepa.sequences import SCANS, bell, column
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +36,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def patch_scan(monkeypatch, name, value):
+    """Make `seq name` print value(n) at each n, in every format, through its scan."""
+    monkeypatch.setitem(SCANS, cli.SEQUENCES[name][0], lambda one=1: map(value, count()))
 
 
 def test_seq_bell_plain(capsys):
@@ -79,7 +84,7 @@ def test_seq_converts_each_value_to_text_once(capsys, monkeypatch, fmt):
             calls.append(int(self))
             return int.__str__(self)
 
-    monkeypatch.setitem(cli.SEQUENCES, "bell", (lambda n: Counted(bell(n)), 0))
+    patch_scan(monkeypatch, "bell", lambda n: Counted(bell(n)))
     code, out, _ = run(capsys, "seq", "bell", "0", "9", "--format", fmt)
     assert code == 0
     assert out.splitlines()[-1].endswith("21147")
@@ -89,7 +94,7 @@ def test_seq_converts_each_value_to_text_once(capsys, monkeypatch, fmt):
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 def test_seq_value_past_the_digit_limit_exits_2(capsys, monkeypatch, fmt):
     # CPython refuses int-to-str past 4300 digits; the error surfaces while rendering
-    monkeypatch.setitem(cli.SEQUENCES, "bell", (lambda n: 10**5000 + n, 0))
+    patch_scan(monkeypatch, "bell", lambda n: 10**5000 + n)
     code, out, err = run(capsys, "seq", "bell", "0", "2", "--format", fmt)
     assert code == 2
     assert out == ""
@@ -155,15 +160,15 @@ def test_out_file_needs_less_memory_than_its_size(tmp_path):
 
 
 # ways a seq value can carry an integer of a given width, with the formats
-# that print it: plain, negative, as the numerator or the denominator of an
-# EScaled coefficient, and as a Decimal, which only csv and plain print
+# that print it: plain, negative, as an EScaled coefficient, and as a
+# Decimal, bare or as an EScaled coefficient, which only csv and plain print
 WIDE_CELLS = [
     ("int", "bell", lambda x: x, ("plain", "csv", "json")),
     ("negative", "bell", lambda x: -x, ("plain", "csv", "json")),
-    ("numerator", "dobinski", lambda x: EScaled(Fraction(x, 7), 1), ("plain", "csv", "json")),
-    ("denominator", "dobinski", lambda x: EScaled(Fraction(1, x), 1), ("plain", "csv", "json")),
+    ("coefficient", "dobinski", lambda x: EScaled(x, 1), ("plain", "csv", "json")),
     ("decimal", "bell", Decimal, ("plain", "csv")),
     ("negative_decimal", "bell", lambda x: Decimal(-x), ("plain", "csv")),
+    ("decimal_coefficient", "dobinski", lambda x: EScaled(Decimal(x), 1), ("plain", "csv")),
 ]
 
 
@@ -174,11 +179,11 @@ WIDE_CELLS = [
 def test_digit_limit_is_checked_exactly(tmp_path, capsys, monkeypatch, name, wrap, fmt):
     target = tmp_path / "out.txt"
     # 10**4300 - 1 has 4300 digits, the most the interpreter converts
-    monkeypatch.setitem(cli.SEQUENCES, name, (lambda n: wrap(10**4300 - 1 if n == 2 else n + 1), 0))
+    patch_scan(monkeypatch, name, lambda n: wrap(10**4300 - 1 if n == 2 else n + 1))
     code, out, _ = run(capsys, "seq", name, "0", "2", "--format", fmt)
     assert code == 0
     assert "9" * 4300 in out
-    monkeypatch.setitem(cli.SEQUENCES, name, (lambda n: wrap(10**4300 if n == 2 else n + 1), 0))
+    patch_scan(monkeypatch, name, lambda n: wrap(10**4300 if n == 2 else n + 1))
     code, out, err = run(capsys, "seq", name, "0", "2", "--format", fmt, "--out", str(target))
     assert code == 2
     assert out == ""
@@ -230,7 +235,7 @@ def test_errors_while_writing_keep_their_exit_codes(tmp_path, capsys, monkeypatc
         def __str__(self):
             raise exc("raised while writing")
 
-    monkeypatch.setitem(cli.SEQUENCES, "bell", (lambda n: Failing(n) if n == 2 else n, 0))
+    patch_scan(monkeypatch, "bell", lambda n: Failing(n) if n == 2 else n)
     code, out, err = run(capsys, "seq", "bell", "0", "3", "--out", str(tmp_path / "out.txt"))
     assert code == expected
     assert out == ""
@@ -240,7 +245,7 @@ def test_errors_while_writing_keep_their_exit_codes(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 def test_no_digit_limit_prints_5000_digits(capsys, monkeypatch, fmt):
-    monkeypatch.setitem(cli.SEQUENCES, "bell", (lambda n: 10**4999, 0))
+    patch_scan(monkeypatch, "bell", lambda n: 10**4999)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -251,20 +256,21 @@ def test_no_digit_limit_prints_5000_digits(capsys, monkeypatch, fmt):
     assert "1" + "0" * 4999 in out
 
 
-SCANNED_FAMILIES = sorted(name for name, (func, _) in cli.SEQUENCES.items() if func in SCANS)
+SCANNED_FAMILIES = sorted(cli.SEQUENCES)
 ORACLE_MAX = 400
 
 
 @functools.cache
-def oracle() -> dict[str, list[int]]:
-    """Each scanned seq family at n = 0..ORACLE_MAX by plain loops over
+def oracle() -> dict[str, list]:
+    """Each seq family at n = 0..ORACLE_MAX by plain loops over
     math.factorial, sharing nothing with kurepa.sequences."""
     f = [math.factorial(n) for n in range(ORACLE_MAX + 2)]
     left = [sum(f[m] for m in range(n)) for n in range(ORACLE_MAX + 2)]
-    # B_(n+1) = sum_k C(n, k) B_k, with C(n, k) from factorials
-    bell_values = [1]
+    # B_(n+1) = sum_k C(n, k) B_k and u_(n+1) = -sum_k C(n, k) u_k, with C(n, k) from factorials
+    bell_values, invbell_values = [1], [1]
     for n in range(ORACLE_MAX):
         bell_values.append(sum(f[n] // (f[k] * f[n - k]) * bell_values[k] for k in range(n + 1)))
+        invbell_values.append(-sum(f[n] // (f[k] * f[n - k]) * invbell_values[k] for k in range(n + 1)))
     loops = {
         "factorial": lambda n: f[n],
         "left_factorial": lambda n: left[n],
@@ -275,6 +281,9 @@ def oracle() -> dict[str, list[int]]:
         # inclusion-exclusion, not the recurrence: D_n = sum_k (-1)^k n!/k!
         "derangement": lambda n: sum((-1) ** k * (f[n] // f[k]) for k in range(n + 1)),
         "bell": bell_values.__getitem__,
+        "invbell": invbell_values.__getitem__,
+        "dobinski": lambda n: EScaled(bell_values[n], 1),
+        "fermi": lambda n: EScaled(bell_values[n], 2),
     }
     assert sorted(loops) == SCANNED_FAMILIES
     return {name: [loop(n) for n in range(ORACLE_MAX + 1)] for name, loop in loops.items()}
@@ -305,7 +314,19 @@ def test_decimal_columns_print_the_int_point_values(data):
     with redirect_stdout(out):
         code = main(["seq", name, str(lo), str(hi), "--format", "json"])
     assert code == 0
-    assert json.loads(out.getvalue())["rows"] == [[n, oracle()[name][n]] for n in ns], (name, lo, hi, "json")
+    cells = [{"coeff": str(v.coeff), "epower": v.epower} if isinstance(v, EScaled) else v for v in oracle()[name]]
+    assert json.loads(out.getvalue())["rows"] == [[n, cells[n]] for n in ns], (name, lo, hi, "json")
+
+
+def test_every_seq_family_is_a_scan_of_its_point_values():
+    # seq reads every family through its scan, in the format's number type;
+    # invbell's scan yields ints in both, so csv and plain print no -0
+    for name, (func, min_n) in cli.SEQUENCES.items():
+        assert func in SCANS, name
+        points = [func(n) for n in range(min_n, 81)]
+        assert column(func, min_n, 80) == points, name
+        assert column(func, min_n, 80, Decimal(1)) == points, name
+    assert all(type(v) is int for v in column(sequences.complementary_bell, 0, 80, Decimal(1)))
 
 
 def test_point_reads_interleave_families():
@@ -612,16 +633,18 @@ def test_every_exported_name_resolves():
 # subcommands that must run on the standard library alone, the real-valued
 # ones included, and the modules each must not load: kurepa layers by their
 # short name, then top-level modules. verify's one block runs in process.
+# Only the report reads a Fraction, so only it may load fractions.
 EXACT_COMMANDS = {
-    ("verify", "3", "3000", "--workers", "2"): ("report", "decomp", "gcdlab", "physics", "multiprocessing"),
-    ("seq", "bell", "0", "8"): ("verifier", "report", "decomp", "gcdlab", "physics"),
-    ("gcd-scan", "4", "200"): ("verifier", "report", "decomp", "physics"),
-    ("decomp", "5914"): ("verifier", "report", "gcdlab", "physics"),
-    ("physics", "ordering"): ("verifier", "report", "decomp", "gcdlab"),
+    ("verify", "3", "3000", "--workers", "2"): ("report", "decomp", "gcdlab", "physics", "multiprocessing", "fractions"),
+    ("seq", "bell", "0", "8"): ("verifier", "report", "decomp", "gcdlab", "physics", "fractions"),
+    ("seq", "dobinski", "3", "3"): ("verifier", "report", "decomp", "gcdlab", "physics", "fractions"),
+    ("gcd-scan", "4", "200"): ("verifier", "report", "decomp", "physics", "fractions"),
+    ("decomp", "5914"): ("verifier", "report", "gcdlab", "physics", "fractions"),
+    ("physics", "ordering"): ("verifier", "report", "decomp", "gcdlab", "fractions"),
     ("report", "--format", "csv"): (),
-    ("log", "8", "--base", "2"): ("verifier", "report", "gcdlab", "physics"),
-    ("physics", "occupation"): ("verifier", "report", "decomp", "gcdlab"),
-    ("physics", "debruijn"): ("verifier", "report", "decomp", "gcdlab"),
+    ("log", "8", "--base", "2"): ("verifier", "report", "gcdlab", "physics", "fractions"),
+    ("physics", "occupation"): ("verifier", "report", "decomp", "gcdlab", "fractions"),
+    ("physics", "debruijn"): ("verifier", "report", "decomp", "gcdlab", "fractions"),
 }
 
 

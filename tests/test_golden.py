@@ -25,6 +25,10 @@ The JSON pins of `seq left_factorial`, `r` and `derangement` up to n = 1200
 were taken while JSON `seq` still read the point functions one n at a time
 from the five-sum factorial walk, before every format read the family's
 accumulate scan.
+The `seq dobinski` and `fermi` pins to n = 1200 and the `seq invbell` pins
+to n = 900, in csv, json and plain, were taken while those three families
+were still read one n at a time from their point functions, and an EScaled
+coefficient was a Fraction, before every `seq` family read its scan.
 """
 
 import hashlib
@@ -60,6 +64,8 @@ GOLDEN_CSV = [
     (("seq", "dobinski", "0", "1200"), "795f2265a06a802b4a54af24aec86b6ced4144bd075b7a9282edb416835bd323"),
     (("seq", "invbell", "0", "600"), "937bf1ca655ef5f25e055f68f484457dfe4f2399e739ebfbbb7cd37c02e09152"),
     (("seq", "fermi", "0", "600"), "96a4ee1dbecaa69f26da9c5e934565d19ad1589ba518a3ec56745d3ef97b9907"),
+    (("seq", "fermi", "0", "1200"), "096543b3f5385fbf24ac8cd6c5a81af9fd24420cd1e4f96e6b2f346285b2488b"),
+    (("seq", "invbell", "0", "900"), "47fa745840174a41c23950622b362916aee6ac6f99b000fd2d94c86e1f3b4e52"),
     (("gcd-scan", "4", "1499"), "fdb933e78b617941dffb76590ff999eb9f83a57103c51b34650e0de22fbd088a"),
     (("gcd-scan", "4", "4999"), "6d7bd090a58bcc0be3e87a325fd466b727b2c699bc680dbbe46a1910972865f5"),
     (("gcd-scan", "2", "600"), "0a35fa7755b717eb3631c53ce6db9c99bf54ee2567c41c4e95a4eb1d68d2e178"),
@@ -83,6 +89,12 @@ GOLDEN_OTHER = [
     ("json", ("seq", "left_factorial", "1", "1200"), "cca0046a744586a1161d833299607a4a571191cbe6e36970cebab18c568b32c5"),
     ("json", ("seq", "r", "0", "1200"), "bf67d38bcdc3a1674827f7cc68c6536ff09a17350c3cac3c0d620c2ab3a4a928"),
     ("json", ("seq", "derangement", "0", "1200"), "7ad046075f16f1faf026307abb50c05bda64afa6f3a83801c2c00dcc8d20de32"),
+    ("json", ("seq", "dobinski", "0", "1200"), "6a99b2e9d757bbdb11880ada9d1c1b794c5172339e57bc487578905a5ebb0217"),
+    ("plain", ("seq", "dobinski", "0", "1200"), "10bfd9a1fc4989318fefa68e62d8a9acc4949ac90f9f86841f32659db5d83ea9"),
+    ("json", ("seq", "fermi", "0", "1200"), "82921ec81917f13bcc34958c13f4ffa3255700735164c72f77e2df9536cee5e0"),
+    ("plain", ("seq", "fermi", "0", "1200"), "135ffd7877326b5d796fa9c194a02cabde7360be9df945af1f4f947a68e5f05e"),
+    ("json", ("seq", "invbell", "0", "900"), "8690a5e6329d21282381e720205b0a530edefd4b4574d178590778ea37cea07a"),
+    ("plain", ("seq", "invbell", "0", "900"), "8a6dfba082e32926d8c0adc31144cd91b8ac3fadc49a9d3f9531ef86076ff279"),
 ]
 
 REPORT_CSV_MD5 = "33affc09420c27073fa96628d3833ba0"
