@@ -145,10 +145,6 @@ def render_csv(columns, rows) -> str:
     return "".join(_csv_lines(columns, rows))
 
 
-def render_json(table: Table) -> str:
-    return "".join(_json_chunks(table))
-
-
 def render_plain(lines) -> str:
     return "".join(_plain_lines(lines))
 

@@ -29,9 +29,11 @@ envelope rows come from physics.debruijn_bound_check, which the `physics
 debruijn` table prints too.
 
 Cell rendering (_cell) is shared between the data file and the computed
-side: integers print plain, halves print as decimals ("0.5"), coefficient
-lists join ascending with underscores (zero polynomial "0"), e-scaled
-values print as "q*e^s", and strings print as they are.
+side: integers print plain, coefficient lists join ascending with
+underscores (the empty list "0"), e-scaled values print as "q*e^s", and
+strings print as they are. Any other type is an error. The half-integer
+columns of the halving equivalence halve an exact integer in _half, which
+prints an odd one's half as a decimal ("0.5").
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import math
 import os
 from collections.abc import Iterator
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from functools import cache
 
 from .decomp import (
@@ -105,22 +106,19 @@ def read_rows(path: str, width: int) -> Iterator[tuple[str, ...]]:
 
 
 def _cell(value) -> str:
-    """Canonical cell string for str, coefficient list, EScaled, int or Fraction values."""
+    """Canonical cell string for str, coefficient list, EScaled or int values."""
     if isinstance(value, str):
         return value
     if isinstance(value, (tuple, list)):
-        cs = list(value)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return "_".join(map(_cell, cs)) or "0"
-    if isinstance(value, EScaled):
+        return "_".join(map(_cell, value)) or "0"
+    if isinstance(value, (int, EScaled)):
         return str(value)
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    if f.denominator == 2:
-        return f"{f.numerator / 2:.1f}"
     raise ValueError(f"no canonical cell form for {value!r}")
+
+
+def _half(x: int) -> str:
+    """x / 2 as a cell: an integer when x is even, else one decimal place ("0.5")."""
+    return f"{x / 2:.1f}" if x % 2 else str(x // 2)
 
 
 def _at(coeffs, x):
@@ -192,10 +190,10 @@ COLUMNS = {
         "table1.alt": alt_left_factorial,
         "table1.diff": lambda n: factorial(n) - _lf0(n),
         "table1.sum": lambda n: _lf0(n) + factorial(n),
-        "table1.halfdiff": lambda n: Fraction(factorial(n) - _lf0(n), 2),
-        "table1.r": lambda n: Fraction(left_factorial(n), 2),
+        "table1.halfdiff": lambda n: _half(factorial(n) - _lf0(n)),
+        "table1.r": lambda n: _half(left_factorial(n)),
         "table1.gcd": lambda n: math.gcd(_lf0(n), factorial(n)),
-        "table1.twor": lambda n: 2 * Fraction(left_factorial(n), 2),
+        "table1.twor": left_factorial,
         "table1.der": derangement,
         "table1.bell": bell,
         "table1.dob": dobinski,
@@ -210,14 +208,14 @@ COLUMNS = {
     },
     "table6": {"table6.fubini": fubini_poly, "table6.fpoly": kurepa_poly},
     "table7": {
-        "table7.rpoly": lambda n: [Fraction(c, 2) for c in kurepa_poly(n)],
+        "table7.rpoly": lambda n: [_half(c) for c in kurepa_poly(n)],
         "table7.r": half_left_factorial,
         "table7.fpoly": kurepa_poly,
         "table7.f": _f,
     },
     "equivalence": {
         "thm4.17.nfact": factorial,
-        "thm4.17.t": lambda n: Fraction(factorial(n + 1), 2),
+        "thm4.17.t": lambda n: _half(factorial(n + 1)),
         "thm4.17.f": _f,
         "thm4.17.r": half_left_factorial,
         "thm4.17.gcdrt": lambda n: math.gcd(half_left_factorial(n), factorial(n + 1) // 2),

@@ -273,13 +273,10 @@ def factorial_sum(n: int) -> int:
 
 
 def half_left_factorial(n: int) -> int:
-    """r_n = factorial_sum(n) / 2, exact (the sum is even for n >= 1); r_0 = 0."""
+    """r_n = factorial_sum(n) / 2, exact since !(n+1) = 2 + sum_{2<=k<=n} k! is even; r_0 = 0."""
     if n < 0:
         raise ValueError("half_left_factorial requires n >= 0")
-    s = factorial_sum(n)
-    if s % 2:
-        raise ArithmeticError("factorial sum is odd, cannot halve exactly")
-    return s // 2
+    return factorial_sum(n) // 2
 
 
 def consecutive_factorial_sum(k: int, n: int) -> int:

@@ -1,6 +1,7 @@
 """Full discrepancy report: row counts, frozen mismatch set, formatting."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -176,6 +177,18 @@ def test_table7_polynomial_rows_flagged():
         "table7.rpoly.n5",
         "table7.fpoly.n0",
     }
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(4, 2), 0.5, 2.0])
+def test_cells_take_no_numeric_type_but_int(value):
+    # half cells are halved ints, printed by _half; a rational or a float
+    # is never rendered, even when it is whole
+    with pytest.raises(ValueError):
+        report_module._cell(value)
+
+
+def test_half_cells_print_an_odd_half_with_one_decimal():
+    assert [report_module._half(x) for x in (1, 2, 3, -3, -4, 0)] == ["0.5", "1", "1.5", "-1.5", "-2", "0"]
 
 
 def test_gcd_equivalence_rows_match(report):

@@ -12,6 +12,7 @@ import kurepa
 from kurepa.sequences import (
     alt_left_factorial,
     bell,
+    column,
     complementary_bell,
     consecutive_factorial_sum,
     derangement,
@@ -64,6 +65,13 @@ def test_factorial_sum_is_shifted_left_factorial(n):
 @given(st.integers(min_value=0, max_value=200))
 def test_half_left_factorial_doubles_back(n):
     assert 2 * half_left_factorial(n) == factorial_sum(n)
+
+
+def test_half_left_factorial_scan_halves_exactly():
+    # !(n+1) = 2 + sum of k! for 2 <= k <= n is even for n >= 1, so the
+    # scan's floor halving loses nothing
+    halves = column(half_left_factorial, 0, 2000)
+    assert [2 * r for r in halves] == [factorial_sum(n) for n in range(2001)]
 
 
 def test_half_left_factorial_values():
