@@ -26,7 +26,6 @@ _EXPORTS = {
     "dobinski": "efactor",
     "fermi": "efactor",
     "inv_dobinski": "efactor",
-    "gcd_euclid": "gcdlab",
     "gcd_stein": "gcdlab",
     "full_report": "report",
     "bell": "sequences",

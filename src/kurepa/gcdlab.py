@@ -1,12 +1,12 @@
-"""GCD machinery: Euclid, the binary (Stein) reducer, and the shifted scan.
+"""GCD machinery: the binary (Stein) reducer and the shifted scan.
 
-report's theorem 4.17 binary-gcd column uses gcd_stein; gcd_euclid is the
-plain division chain kept as the reference oracle; tests pin both to
-math.gcd. scan_altered walks the left factorials once and takes one gcd
-per row, of the shifted term and (n+1) times the previous row's value, so
-no factorial-sized term is ever paired with (n+1)!. Tests pin it to
-math.gcd over direct factorial sums. The module only computes: the
-published gcd claims are compared against these values in report.
+report's theorem 4.17 binary-gcd column uses gcd_stein; tests pin it to
+math.gcd and to a plain division chain kept outside the package.
+scan_altered walks the left factorials once and takes one gcd per row, of
+the shifted term and (n+1) times the previous row's value, so no
+factorial-sized term is ever paired with (n+1)!. Tests pin it to math.gcd
+over direct factorial sums. The module only computes: the published gcd
+claims are compared against these values in report.
 """
 
 from __future__ import annotations
@@ -17,14 +17,6 @@ from collections.abc import Iterable
 from itertools import islice
 
 from .sequences import SCANS, left_factorial
-
-
-def gcd_euclid(a: int, b: int) -> int:
-    """Nonnegative gcd by the division chain; gcd(0, 0) = 0."""
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def gcd_stein(a: int, b: int) -> int:

@@ -1,8 +1,11 @@
 """Catalogue of published numeric claims, re-checked against exact recomputation.
 
-Each function covers one table or theorem family and returns one
-DiscrepancyReport per checkable cell; full_report() concatenates the lot
-in source order. Published cells are transcribed verbatim (thousand
+SECTIONS lists the report's sections in the paper's order, one callable
+per table or theorem family, each returning one DiscrepancyReport per
+checkable cell; full_report() concatenates them. A section whose cells are
+all printed in data/claims.txt is bound by name, as partial(_printed,
+"<section>"), and that file's header for it says what it covers; the rest
+are functions. Published cells are transcribed verbatim (thousand
 separators dropped, scientific notation expanded), nothing is corrected
 before comparison, so misprints surface as mismatch rows whose note says
 what the recomputation found instead.
@@ -12,11 +15,11 @@ recomputation, under which claim id and location; the layer modules only
 compute. Every printed cell sits in a bundled data file, read line by line
 by read_rows. data/claims.txt holds one cell per line: claim id, location,
 printed cell and note. The id is a column key and .n<index>, and COLUMNS
-maps each column key to its recomputation fn(index), grouped by the section
-function that reports it. data/decompositions.txt holds the published
-decompositions, whose terms are re-summed as printed. discrepancy.compare
-sets the status of each of these rows: match when the printed cell and
-the rendered recomputation are the same text.
+maps each column key to its recomputation fn(index), grouped by the
+claims-file section that reports it. data/decompositions.txt holds the
+published decompositions, whose terms are re-summed as printed.
+discrepancy.compare sets the status of each of these rows: match when the
+printed cell and the rendered recomputation are the same text.
 
 Rows whose claimed side is itself computed stay in code: the Bell
 congruence, the consecutive sums, the table 5 alignment, the grouped
@@ -42,7 +45,7 @@ import math
 import os
 from collections.abc import Iterator
 from decimal import Decimal, localcontext
-from functools import cache
+from functools import cache, partial
 
 from .decomp import (
     alt_kurepa_sequence_sum,
@@ -331,9 +334,7 @@ def _near(claim_id, loc, claimed, computed, rel_tol, note="") -> DiscrepancyRepo
 # ---------------------------------------------------------------- section 1
 
 
-def table1_rows() -> list[DiscrepancyReport]:
-    """Headline table: factorials, left factorials and their companions."""
-    return _printed("table1")
+table1_rows = partial(_printed, "table1")
 
 
 def congruence_rows() -> list[DiscrepancyReport]:
@@ -394,9 +395,7 @@ def decomposition_rows() -> list[DiscrepancyReport]:
 # ---------------------------------------------------------------- section 4
 
 
-def table4_rows() -> list[DiscrepancyReport]:
-    """Alternating sums, left factorials, top-anchored alternating factorials."""
-    return _printed("table4")
+table4_rows = partial(_printed, "table4")
 
 
 def table5_rows() -> list[DiscrepancyReport]:
@@ -407,44 +406,14 @@ def table5_rows() -> list[DiscrepancyReport]:
     ]
 
 
-def table6_rows() -> list[DiscrepancyReport]:
-    """Fubini polynomials beside the factorial-coefficient polynomials."""
-    return _printed("table6")
-
-
-def table7_rows() -> list[DiscrepancyReport]:
-    """Half polynomials and values beside the full ones."""
-    return _printed("table7")
-
-
-def equivalence_rows() -> list[DiscrepancyReport]:
-    """The halving equivalence: proof table columns plus the linked gcd chain."""
-    return _printed("equivalence")
-
-
-def corollary_poly_rows() -> list[DiscrepancyReport]:
-    """Polynomial evaluations at 1 and -1 from the two worked corollaries."""
-    return _printed("corollary_poly")
-
-
-def table8_rows() -> list[DiscrepancyReport]:
-    """Evaluations of the factorial-coefficient polynomial at 1 and -1."""
-    return _printed("table8")
-
-
-def table9_rows() -> list[DiscrepancyReport]:
-    """gcd columns of the alternating-sum table, both index readings."""
-    return _printed("table9")
-
-
-def table10_rows() -> list[DiscrepancyReport]:
-    """The altered-sequence table: shifts, differences, and small offsets."""
-    return _printed("table10")
-
-
-def fourpart_rows() -> list[DiscrepancyReport]:
-    """Four consecutive-gcd statements checked over n = 0..10."""
-    return _printed("fourpart")
+table6_rows = partial(_printed, "table6")
+table7_rows = partial(_printed, "table7")
+equivalence_rows = partial(_printed, "equivalence")
+corollary_poly_rows = partial(_printed, "corollary_poly")
+table8_rows = partial(_printed, "table8")
+table9_rows = partial(_printed, "table9")
+table10_rows = partial(_printed, "table10")
+fourpart_rows = partial(_printed, "fourpart")
 
 
 def altered_rows() -> list[DiscrepancyReport]:
@@ -475,17 +444,13 @@ def altered_rows() -> list[DiscrepancyReport]:
     return out
 
 
-def ab_rows() -> list[DiscrepancyReport]:
-    """Parity-offset sequences A_n = f_n + (-1)^n and B_n = f_n - (-1)^n, and their gcds."""
-    return _printed("ab")
+ab_rows = partial(_printed, "ab")
 
 
 # ---------------------------------------------------------------- section 5
 
 
-def kurepa_poly_rows() -> list[DiscrepancyReport]:
-    """The polynomial definition list and the table that follows it."""
-    return _printed("kurepa_poly")
+kurepa_poly_rows = partial(_printed, "kurepa_poly")
 
 
 def log_rows() -> list[DiscrepancyReport]:
@@ -522,14 +487,8 @@ def log_rows() -> list[DiscrepancyReport]:
 # ---------------------------------------------------------------- section 6
 
 
-def table12_rows() -> list[DiscrepancyReport]:
-    """Touchard polynomials and the normally ordered coefficient vectors."""
-    return _printed("table12")
-
-
-def table13_rows() -> list[DiscrepancyReport]:
-    """Signed ordering vectors against the positive-leading convention."""
-    return _printed("table13")
+table12_rows = partial(_printed, "table12")
+table13_rows = partial(_printed, "table13")
 
 
 def kad_rows() -> list[DiscrepancyReport]:
@@ -550,9 +509,7 @@ def fermi_rows() -> list[DiscrepancyReport]:
     ]
 
 
-def gas_rows() -> list[DiscrepancyReport]:
-    """Two-column gas table: the same coefficients under e and e^2."""
-    return _printed("gas")
+gas_rows = partial(_printed, "gas")
 
 
 def physics_rows() -> list[DiscrepancyReport]:
@@ -580,31 +537,18 @@ def physics_rows() -> list[DiscrepancyReport]:
 # ---------------------------------------------------------------- aggregate
 
 
+# the report's sections in the paper's order, grouped by paper section, 1 to 6
+SECTIONS = (
+    table1_rows, congruence_rows,
+    foundation_rows,
+    decomposition_rows,
+    table4_rows, table5_rows, table6_rows, table7_rows, equivalence_rows, corollary_poly_rows,
+    table8_rows, table9_rows, table10_rows, fourpart_rows, altered_rows, ab_rows,
+    kurepa_poly_rows, log_rows,
+    table12_rows, table13_rows, kad_rows, fermi_rows, gas_rows, physics_rows,
+)
+
+
 def full_report() -> list[DiscrepancyReport]:
-    """Every catalogued claim, in source order."""
-    out = []
-    out.extend(table1_rows())
-    out.extend(congruence_rows())
-    out.extend(foundation_rows())
-    out.extend(decomposition_rows())
-    out.extend(table4_rows())
-    out.extend(table5_rows())
-    out.extend(table6_rows())
-    out.extend(table7_rows())
-    out.extend(equivalence_rows())
-    out.extend(corollary_poly_rows())
-    out.extend(table8_rows())
-    out.extend(table9_rows())
-    out.extend(table10_rows())
-    out.extend(fourpart_rows())
-    out.extend(altered_rows())
-    out.extend(ab_rows())
-    out.extend(kurepa_poly_rows())
-    out.extend(log_rows())
-    out.extend(table12_rows())
-    out.extend(table13_rows())
-    out.extend(kad_rows())
-    out.extend(fermi_rows())
-    out.extend(gas_rows())
-    out.extend(physics_rows())
-    return out
+    """Every catalogued claim, section by section in SECTIONS order."""
+    return [row for section in SECTIONS for row in section()]

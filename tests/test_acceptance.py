@@ -26,7 +26,7 @@ import pytest
 
 from kurepa.decomp import greedy_bell_decomposition
 from kurepa.discrepancy import MATCH, MISMATCH
-from kurepa.gcdlab import gcd_euclid, gcd_stein, scan_altered
+from kurepa.gcdlab import gcd_stein, scan_altered
 from kurepa.physics import debruijn_bound_check, normal_ordering, planck_identity_gap
 from kurepa.report import (
     altered_rows,
@@ -46,6 +46,7 @@ from kurepa.verifier import (
     run_search,
     sieve_primes,
 )
+from oracles import factorial_sum, gcd_euclid
 
 
 def announce(criterion: str, ok: bool, detail: str) -> None:
@@ -271,11 +272,6 @@ def test_criterion_07a_unshifted_gcd_bound():
     assert peak <= 2, peak
 
 
-def _factorial_sum(n: int) -> int:
-    # direct oracle for F_n = 0! + 1! + ... + n!, independent of kurepa
-    return sum(math.factorial(k) for k in range(n + 1))
-
-
 def test_criterion_07b_shifted_gcd_bound_a4():
     """Published bound 2 for the a = 4 shift is flagged: the scan exceeds it from n = 16 on."""
     start = time.perf_counter()
@@ -285,7 +281,7 @@ def test_criterion_07b_shifted_gcd_bound_a4():
     # (n+1)!, hence every later factorial, so it divides every later
     # shifted term and the excess persists to the end of the scan
     direct = {
-        n: math.gcd(_factorial_sum(n) + 4, _factorial_sum(n + 1) + 4) for n in (16, 112)
+        n: math.gcd(factorial_sum(n) + 4, factorial_sum(n + 1) + 4) for n in (16, 112)
     }
     row = next(r for r in altered_rows() if r.claim_id == "conjecture.bound.a4")
     elapsed = time.perf_counter() - start

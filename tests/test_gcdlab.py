@@ -5,8 +5,9 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kurepa.gcdlab import gcd_euclid, gcd_stein, scan_altered
+from kurepa.gcdlab import gcd_stein, scan_altered
 from kurepa.report import ab_rows, altered_rows, equivalence_rows, table9_rows
+from oracles import factorial_sum, gcd_euclid
 
 nonneg = st.integers(min_value=0, max_value=2**256)
 
@@ -64,19 +65,9 @@ def test_scan_altered_empty_and_one_shot_iterables():
     assert [(r.n, r.value) for r in rows] == [(17, 34), (15, 2), (16, 34)]
 
 
-# F_0 = 0 by the table convention, F_1 = 0! + 1!, and F_m = F_(m-1) + m!
-_F = [0, 2]
-
-
-def _f(m):
-    while len(_F) <= m:
-        _F.append(_F[-1] + math.factorial(len(_F)))
-    return _F[m]
-
-
 def _shifted_gcd(a, n):
     """gcd(F_n + a, F_(n+1) + a) from math.factorial sums: the oracle."""
-    return math.gcd(_f(n) + a, _f(n + 1) + a)
+    return math.gcd(factorial_sum(n) + a, factorial_sum(n + 1) + a)
 
 
 def test_scan_altered_grid_matches_factorial_oracle():
@@ -90,7 +81,7 @@ row_lists = st.lists(st.integers(0, 200), max_size=12)
 
 def _zero_term_case(k):
     # a = -F_k zeroes the term F_k + a, so rows k - 1 and k are k! and (k+1)!
-    return st.tuples(st.just(-_f(k)), row_lists.map(lambda ns: ns + [k, k - 1, k]))
+    return st.tuples(st.just(-factorial_sum(k)), row_lists.map(lambda ns: ns + [k, k - 1, k]))
 
 
 cases = st.one_of(
@@ -101,7 +92,7 @@ cases = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(cases)
-@example((-_f(12), [12, 11, 13, 12, 0]))
+@example((-factorial_sum(12), [12, 11, 13, 12, 0]))
 def test_scan_altered_matches_factorial_oracle(case):
     # the ns come unsorted and may repeat; rows follow them one for one
     a, ns = case

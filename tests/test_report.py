@@ -1,5 +1,7 @@
 """Full discrepancy report: row counts, frozen mismatch set, formatting."""
 
+import importlib.util
+import os
 import re
 from fractions import Fraction
 
@@ -234,6 +236,25 @@ def test_note_excluded_from_equality():
 
 def test_report_is_deterministic(report):
     assert full_report() == report
+
+
+def _bench_workloads():
+    # bench/workloads.py imports only random, so it loads on its own by path
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sections_are_the_benchmarks_section_names_in_order(report):
+    # the benchmark's traced mode times each section as getattr(report, name)()
+    names = _bench_workloads().REPORT_SECTIONS
+    assert len(report_module.SECTIONS) == len(names)
+    for i, name in enumerate(names):
+        assert getattr(report_module, name) is report_module.SECTIONS[i], name
+    rows = [row for name in names for row in getattr(report_module, name)()]
+    assert [(r, r.note) for r in rows] == [(r, r.note) for r in report]
 
 
 def test_every_column_key_in_the_claims_file_has_one_recomputation():
