@@ -5,10 +5,10 @@ printed columns below), and each polynomial as the tuple of its integer
 coefficients, constant term first.
 
 Each factorial family (n!, the left factorial !n and !n - 1, the
-alternating sums, r_n = !(n+1) / 2 and the derangements D_n) is defined
-once, as an `itertools.accumulate` scan that carries only the running
-values the family reads: one or two big operations per row. `SCANS` maps
-a family's point function to its scan, whose start value, 1 or
+alternating sums, r_n = !(n+1) / 2 and the derangements D_n), the
+complementary Bell numbers and the Stirling rows are each defined once, as
+a scan that carries only the running values the family reads. `SCANS`
+maps a family's point function to its scan, whose start value, 1 or
 Decimal(1), sets the number type. A scan is read three ways: `column`
 takes a whole column n = lo..hi; each point function reads one rolling
 copy of its family's scan, so reads in increasing n cost one step each
@@ -16,28 +16,28 @@ and a lower n starts the scan again; and `gcdlab`, `decomp` and the
 polynomials here walk a fresh scan. `factorial` itself is math.factorial.
 
 The Bell and complementary Bell numbers are read from Aitken's array for
-a_(n+1) = sign * sum_k C(n, k) a_k, with sign +1 and -1. Both families are
-memoized, so their tables hold O(n^2) bits and one row. The verifier's
-bell_mod builds its own rows mod p and shares no code with them. Stirling
-numbers come from one rolling row, and a request below it restarts from
-row 0. No cache is locked: nothing reads them concurrently.
+a_(n+1) = sign * sum_k C(n, k) a_k, with sign +1 and -1. Only the Bell
+numbers are memoized, one memo per number type holding O(n^2) bits and
+one row: `decomp`'s greedy reads them downward, and reuses the Decimal
+triangle that a `seq bell` column built. The verifier's bell_mod builds
+its own rows mod p and shares no code with them. No read is locked:
+nothing reads them concurrently.
 
-Every point function returns an int, and every `seq` family has a scan in
-`SCANS`, which `seq` reads in every format; `efactor` adds the Dobinski
-and Fermi scans, which wrap the Bell scan in e^s. The JSON `seq` format
-prints a column of ints; csv and plain print a column of exact `Decimal`
-integers, computed under the `EXACT` context (no bound on digits or
-exponent; any rounding or invalid operation raises). `column` enters that
-context, so no value depends on the caller's. csv and plain print with
-`str()`, which is linear in the digit count for a `Decimal` and quadratic
-for an int, and converting a finished int to `Decimal` costs about as much
-as printing it, so a column is a `Decimal` from its first step. That makes
-the factorial family's csv 5-8x faster at n = 1500, and `bell`'s a little
-faster, as its triangle adds about as fast in `Decimal`; the Bell triangle
-keeps one memo per number type, its scan reads them, and `decomp` reads
-the `Decimal` one. The `invbell` scan yields ints in every format: its
-signed triangle adds more slowly in `Decimal` than its values print as
-ints, and -1 * 0 is -0 there.
+Every `seq` point function returns an int, and every `seq` family has a
+scan in `SCANS`, which `seq` reads in every format; `efactor` adds the
+Dobinski and Fermi scans, which wrap the Bell scan in e^s. The JSON `seq`
+format prints a column of ints; csv and plain print a column of exact
+`Decimal` integers, computed under the `EXACT` context (no bound on digits
+or exponent; any rounding or invalid operation raises). `column` enters
+that context, so no value depends on the caller's. csv and plain print
+with `str()`, which is linear in the digit count for a `Decimal` and
+quadratic for an int, and converting a finished int to `Decimal` costs
+about as much as printing it, so a column is a `Decimal` from its first
+step. That makes the factorial family's csv 5-8x faster at n = 1500, and
+`bell`'s a little faster, as its triangle adds about as fast in `Decimal`.
+The `invbell` scan yields ints in every format: its signed triangle adds
+more slowly in `Decimal` than its values print as ints, and -1 * 0 is -0
+there.
 """
 
 from __future__ import annotations
@@ -104,8 +104,13 @@ def _derangement_step(d, n: int):
     return n * d + (-1 if n % 2 else 1)
 
 
+def _stirling_step(row: tuple, m: int) -> tuple:
+    """Row m of the Stirling triangle from row m - 1: S(m, k) = k * S(m-1, k) + S(m-1, k-1)."""
+    return (0, *(k * row[k] + row[k - 1] for k in range(1, m)), 1)
+
+
 class _Rolling:
-    """Point reads of one int scan: a read at or above the last steps the live
+    """Point reads of one scan: a read at or above the last steps the live
     scan on, one step per index, and a read below it starts the scan again."""
 
     __slots__ = ("scan", "n", "value", "rest")
@@ -113,7 +118,7 @@ class _Rolling:
     def __init__(self, scan) -> None:
         self.scan, self.n, self.rest = scan, -1, scan()
 
-    def __call__(self, n: int) -> int:
+    def __call__(self, n: int):
         if n < self.n:
             self.n, self.rest = -1, self.scan()
         if n > self.n:
@@ -157,28 +162,6 @@ def wagstaff(n: int) -> int:
     return left_factorial(n) - 1
 
 
-# The last Stirling row built: _stirling_row[k] = S(n, k) for 0 <= k <= n,
-# where n = len(_stirling_row) - 1.
-_stirling_row: list[int] = [1]
-
-
-def _stirling(n: int) -> list[int]:
-    """Row n of the Stirling triangle, rolled forward from the last row built."""
-    global _stirling_row
-    row = _stirling_row if len(_stirling_row) <= n + 1 else [1]
-    for m in range(len(row), n + 1):  # building row m from row m-1
-        row = [0, *(k * row[k] + row[k - 1] for k in range(1, m)), 1]
-    _stirling_row = row
-    return row
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k), 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError("stirling2 requires 0 <= k <= n")
-    return _stirling(n)[k]
-
-
 def _aitken(row: list, sign: int) -> Iterator[list]:
     """Rows of Aitken's array for a_(n+1) = sign * sum_k C(n, k) a_k, from `row`.
 
@@ -190,15 +173,13 @@ def _aitken(row: list, sign: int) -> Iterator[list]:
         row = list(accumulate(row, initial=sign * row[-1]))
 
 
-# Per (number type, sign): the values a_0, a_1, ... found so far and the live
-# generator of rows. Only bell has a Decimal column (see the module docstring).
-_bell_memo = {
-    (kind, sign): ([], _aitken([kind(1)], sign)) for kind, sign in ((int, 1), (int, -1), (Decimal, 1))
-}
+# Per number type: the Bell numbers B_0, B_1, ... found so far and the live
+# generator of rows (see the module docstring for why they are kept)
+_bell_memo = {kind: ([], _aitken([kind(1)], 1)) for kind in (int, Decimal)}
 
 
-def _bell_family(sign: int, n: int, kind: type = int) -> int | Decimal:
-    values, rows = _bell_memo[kind, sign]
+def _bell(n: int, kind: type = int) -> int | Decimal:
+    values, rows = _bell_memo[kind]
     if len(values) <= n:
         # next(rows) runs the row's additions under the context current here
         with localcontext(EXACT):
@@ -211,14 +192,14 @@ def bell(n: int) -> int:
     """Bell number Bell_n: row n of the Bell triangle starts with it."""
     if n < 0:
         raise ValueError("bell requires n >= 0")
-    return _bell_family(1, n)
+    return _bell(n)
 
 
 def decimal_bell(n: int) -> Decimal:
     """Bell_n as an exact Decimal integer, from the Decimal memo."""
     if n < 0:
         raise ValueError("bell requires n >= 0")
-    return _bell_family(1, n, Decimal)
+    return _bell(n, Decimal)
 
 
 def complementary_bell(n: int) -> int:
@@ -229,7 +210,7 @@ def complementary_bell(n: int) -> int:
     """
     if n < 0:
         raise ValueError("complementary_bell requires n >= 0")
-    return _bell_family(-1, n)
+    return _READS[complementary_bell](n)
 
 
 def derangement(n: int) -> int:
@@ -239,19 +220,25 @@ def derangement(n: int) -> int:
     return _READS[derangement](n)
 
 
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind S(n, k), 0 <= k <= n."""
+    if n < 0 or k < 0 or k > n:
+        raise ValueError("stirling2 requires 0 <= k <= n")
+    return _READS[touchard_poly](n)[k]
+
+
 def touchard_poly(n: int) -> tuple[int, ...]:
     """Ascending coefficients S(n, 0), ..., S(n, n); the last is S(n, n) = 1."""
     if n < 0:
         raise ValueError("touchard_poly requires n >= 0")
-    # a copy: the cached row is the state the next _stirling call rolls on
-    return tuple(_stirling(n))
+    return _READS[touchard_poly](n)
 
 
 def fubini_poly(n: int) -> tuple[int, ...]:
     """Ordered-set-partition polynomial: ascending coefficients k! * S(n, k), k = 0..n."""
     if n < 0:
         raise ValueError("fubini_poly requires n >= 0")
-    return tuple(map(mul, _factorials(), _stirling(n)))
+    return tuple(map(mul, _factorials(), _READS[touchard_poly](n)))
 
 
 def kurepa_poly(n: int) -> tuple[int, ...]:
@@ -299,13 +286,19 @@ SCANS = {
     # r_n = !(n+1) / 2, halving a nonnegative value, so // is the floor; !1 // 2 = 0 = r_0
     half_left_factorial: lambda one=1: (v // 2 for v in islice(_left_factorials(one), 1, None)),
     derangement: lambda one=1: accumulate(count(1), _derangement_step, initial=one),
-    bell: lambda one=1: (_bell_family(1, n, type(one)) for n in count()),
+    bell: lambda one=1: (_bell(n, type(one)) for n in count()),
     # ints whatever one is: see the module docstring
-    complementary_bell: lambda one=1: (_bell_family(-1, n) for n in count()),
+    complementary_bell: lambda one=1: (row[0] for row in _aitken([1], -1)),
+    # rows S(n, 0..n) as tuples of ints; no seq column reads them
+    touchard_poly: lambda one=1: accumulate(count(1), _stirling_step, initial=(1,)),
 }
 
-# the point functions' rolling reads; wagstaff, factorial_sum and r read the left factorials'
-_READS = {func: _Rolling(SCANS[func]) for func in (left_factorial, alt_left_factorial, guy_alternating, derangement)}
+# the point functions' rolling reads; wagstaff, factorial_sum and r read the
+# left factorials', stirling2 and fubini_poly the Stirling rows
+_READS = {
+    func: _Rolling(SCANS[func])
+    for func in (left_factorial, alt_left_factorial, guy_alternating, derangement, complementary_bell, touchard_poly)
+}
 
 
 def column(func, lo: int, hi: int, one: int | Decimal = 1) -> list:

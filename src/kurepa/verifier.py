@@ -33,7 +33,7 @@ import os
 import sys
 import time
 from collections.abc import Iterator, Sequence
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, compress, islice
 from operator import mul
 
 
@@ -69,9 +69,7 @@ def sieve_primes(lo: int, hi: int) -> Iterator[int]:
                 break
             start = max(q * q, ((seg_lo + q - 1) // q) * q)
             mask[start - seg_lo :: q] = b"\x00" * len(range(start, seg_hi, q))
-        for i, b in enumerate(mask):
-            if b:
-                yield seg_lo + i
+        yield from compress(range(seg_lo, seg_hi), mask)
 
 
 def left_factorial_mod(p: int) -> int:

@@ -46,7 +46,7 @@ from kurepa.verifier import (
     run_search,
     sieve_primes,
 )
-from oracles import factorial_sum, gcd_euclid
+from oracles import gcd_euclid, shifted_gcd
 
 
 def announce(criterion: str, ok: bool, detail: str) -> None:
@@ -280,9 +280,7 @@ def test_criterion_07b_shifted_gcd_bound_a4():
     # a prime dividing F_n + 4 and F_{n+1} + 4 divides their difference
     # (n+1)!, hence every later factorial, so it divides every later
     # shifted term and the excess persists to the end of the scan
-    direct = {
-        n: math.gcd(factorial_sum(n) + 4, factorial_sum(n + 1) + 4) for n in (16, 112)
-    }
+    direct = {n: shifted_gcd(4, n) for n in (16, 112)}
     row = next(r for r in altered_rows() if r.claim_id == "conjecture.bound.a4")
     elapsed = time.perf_counter() - start
     first_3842 = next((n for n, v in offenders if v == 3842), None)

@@ -4,7 +4,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import shutil
 import subprocess
@@ -24,6 +23,7 @@ from kurepa.cli import main, render_csv
 from kurepa.efactor import EScaled
 from kurepa import sequences
 from kurepa.sequences import SCANS, bell, column
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -265,28 +265,19 @@ ORACLE_MAX = 400
 
 @functools.cache
 def oracle() -> dict[str, list]:
-    """Each seq family at n = 0..ORACLE_MAX by plain loops over
-    math.factorial, sharing nothing with kurepa.sequences."""
-    f = [math.factorial(n) for n in range(ORACLE_MAX + 2)]
-    left = [sum(f[m] for m in range(n)) for n in range(ORACLE_MAX + 2)]
-    # B_(n+1) = sum_k C(n, k) B_k and u_(n+1) = -sum_k C(n, k) u_k, with C(n, k) from factorials
-    bell_values, invbell_values = [1], [1]
-    for n in range(ORACLE_MAX):
-        bell_values.append(sum(f[n] // (f[k] * f[n - k]) * bell_values[k] for k in range(n + 1)))
-        invbell_values.append(-sum(f[n] // (f[k] * f[n - k]) * invbell_values[k] for k in range(n + 1)))
+    """Each seq family at n = 0..ORACLE_MAX from its textbook definition."""
     loops = {
-        "factorial": lambda n: f[n],
-        "left_factorial": lambda n: left[n],
-        "wagstaff": lambda n: left[n] - 1,
-        "alt_left": lambda n: sum((-1) ** m * f[m] for m in range(n)),
-        "guy_alt": lambda n: sum((-1) ** (n - m) * f[m] for m in range(1, n + 1)),
-        "r": lambda n: left[n + 1] // 2 if n else 0,
-        # inclusion-exclusion, not the recurrence: D_n = sum_k (-1)^k n!/k!
-        "derangement": lambda n: sum((-1) ** k * (f[n] // f[k]) for k in range(n + 1)),
-        "bell": bell_values.__getitem__,
-        "invbell": invbell_values.__getitem__,
-        "dobinski": lambda n: EScaled(bell_values[n], 1),
-        "fermi": lambda n: EScaled(bell_values[n], 2),
+        "factorial": oracles.factorial,
+        "left_factorial": oracles.left_factorial,
+        "wagstaff": oracles.wagstaff,
+        "alt_left": oracles.alt_left_factorial,
+        "guy_alt": oracles.guy_alternating,
+        "r": oracles.half_left_factorial,
+        "derangement": oracles.derangement,
+        "bell": oracles.bell,
+        "invbell": oracles.complementary_bell,
+        "dobinski": lambda n: EScaled(oracles.bell(n), 1),
+        "fermi": lambda n: EScaled(oracles.bell(n), 2),
     }
     assert sorted(loops) == SCANNED_FAMILIES
     return {name: [loop(n) for n in range(ORACLE_MAX + 1)] for name, loop in loops.items()}
@@ -448,6 +439,14 @@ def test_max_n_env_garbage_rejected(monkeypatch, capsys):
     assert out == ""
 
 
+def test_max_n_below_one_rejected(monkeypatch, capsys):
+    monkeypatch.setenv("KUREPA_MAX_N", "0")
+    code, out, err = run(capsys, "seq", "bell", "0", "0")
+    assert code == 2
+    assert out == ""
+    assert "KUREPA_MAX_N must be >= 1" in err
+
+
 def test_default_cap_allows_5000(monkeypatch, capsys):
     monkeypatch.delenv("KUREPA_MAX_N", raising=False)
     assert run(capsys, "log", "5000")[0] == 0
@@ -589,6 +588,19 @@ def test_cli_import_does_not_load(module):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_oracles_load_no_kurepa_module():
+    # kurepa is importable here, so an import of it by the oracles would show
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    proc = python(
+        f"import sys; sys.path.insert(0, {tests_dir!r})\n"
+        "import oracles\n"
+        "oracles.bell(9), oracles.stirling2(9, 4), oracles.shifted_gcd(4, 16), oracles.derangement(9)\n"
+        "print(*(name for name in sys.modules if name.partition('.')[0] == 'kurepa'))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
 def test_verify_without_checkpoint_does_not_load_tempfile():
     # -S skips site, whose .pth files may load tempfile on their own
     proc = python(
@@ -684,7 +696,7 @@ def test_growth_rows_build_no_big_bell_number(argv):
         "from kurepa.sequences import _bell_memo\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(code, *(len(_bell_memo[kind, 1][0]) for kind in (int, Decimal)))\n",
+        "print(code, *(len(_bell_memo[kind][0]) for kind in (int, Decimal)))\n",
         *argv,
     )
     assert proc.returncode == 0, proc.stderr

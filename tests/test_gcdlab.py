@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kurepa.gcdlab import gcd_stein, scan_altered
 from kurepa.report import ab_rows, altered_rows, equivalence_rows, table9_rows
-from oracles import factorial_sum, gcd_euclid
+from oracles import factorial_sum, gcd_euclid, shifted_gcd
 
 nonneg = st.integers(min_value=0, max_value=2**256)
 
@@ -65,15 +65,10 @@ def test_scan_altered_empty_and_one_shot_iterables():
     assert [(r.n, r.value) for r in rows] == [(17, 34), (15, 2), (16, 34)]
 
 
-def _shifted_gcd(a, n):
-    """gcd(F_n + a, F_(n+1) + a) from math.factorial sums: the oracle."""
-    return math.gcd(factorial_sum(n) + a, factorial_sum(n + 1) + a)
-
-
 def test_scan_altered_grid_matches_factorial_oracle():
     ns = range(601)
     for a in range(-6, 12):
-        assert [r.value for r in scan_altered(a, ns)] == [_shifted_gcd(a, n) for n in ns], a
+        assert [r.value for r in scan_altered(a, ns)] == [shifted_gcd(a, n) for n in ns], a
 
 
 row_lists = st.lists(st.integers(0, 200), max_size=12)
@@ -98,7 +93,7 @@ def test_scan_altered_matches_factorial_oracle(case):
     a, ns = case
     rows = scan_altered(a, ns)
     assert [r.n for r in rows] == ns
-    assert [r.value for r in rows] == [_shifted_gcd(a, n) for n in ns]
+    assert [r.value for r in rows] == [shifted_gcd(a, n) for n in ns]
 
 
 def test_scan_altered_every_small_prime_in_the_support():
@@ -111,7 +106,7 @@ def test_scan_altered_every_small_prime_in_the_support():
         modulus *= q
     ns = range(601)
     values = [r.value for r in scan_altered(a, ns)]
-    assert values == [_shifted_gcd(a, n) for n in ns]
+    assert values == [shifted_gcd(a, n) for n in ns]
     for n in range(1, 601):
         assert {q for q in primes if values[n] % q == 0} == {q for q in primes if q <= n + 1}, n
 

@@ -21,6 +21,7 @@ from kurepa.report import (
     table10_rows,
 )
 from kurepa.sequences import factorial_sum
+import oracles
 
 # Every published claim that recomputation contradicts: regenerating the
 # report must reproduce exactly this set, nothing more, nothing less.
@@ -285,3 +286,47 @@ def test_a_claim_without_a_recomputation_is_rejected(tmp_path, monkeypatch):
     monkeypatch.setattr(report_module, "CLAIMS_PATH", str(bad))
     with pytest.raises(ValueError, match="table8.fzero.n1"):
         table8_rows()
+
+
+def _joined(coeffs):
+    return "_".join(map(str, coeffs))
+
+
+# column key -> its cell at index n from the textbook definitions: the
+# columns that print one family's value (the factorial sum with F_0 = 0,
+# r_n = F_n / 2 and the empty left factorial 0), and the Stirling rows
+ORACLE_COLUMNS = {
+    "table1.nfact": oracles.factorial,
+    "table1.kurepa": oracles.left_factorial,
+    "table1.alt": oracles.alt_left_factorial,
+    "table1.twor": oracles.left_factorial,
+    "table1.der": oracles.derangement,
+    "table1.bell": oracles.bell,
+    "table1.invbell": oracles.complementary_bell,
+    "table4.asum": oracles.alt_left_factorial,
+    "table4.kurepa": oracles.left_factorial,
+    "table4.guy": oracles.guy_alternating,
+    "table4.wagstaff": oracles.wagstaff,
+    "table7.r": oracles.half_left_factorial,
+    "table7.f": oracles.factorial_sum,
+    "thm4.17.nfact": oracles.factorial,
+    "thm4.17.f": oracles.factorial_sum,
+    "thm4.17.r": oracles.half_left_factorial,
+    "table10.f": oracles.factorial_sum,
+    "gas.coeff": oracles.bell,
+    "table6.fubini": lambda n: _joined(oracles.factorial(k) * oracles.stirling2(n, k) for k in range(n + 1)),
+    "table12.touchard": lambda n: _joined(oracles.stirling2(n, k) for k in range(n + 1)),
+}
+
+
+def test_family_cells_match_the_textbook_oracles(report):
+    checked, wrong = 0, []
+    for r in report:
+        key, _, n = r.claim_id.rpartition(".n")
+        if key in ORACLE_COLUMNS:
+            checked += 1
+            expected = str(ORACLE_COLUMNS[key](int(n)))
+            if r.computed != expected:
+                wrong.append((r.claim_id, r.computed, expected))
+    assert not wrong, wrong
+    assert checked == 171

@@ -15,6 +15,7 @@ from kurepa.sequences import (
     column,
     complementary_bell,
     consecutive_factorial_sum,
+    decimal_bell,
     derangement,
     factorial,
     factorial_sum,
@@ -27,8 +28,31 @@ from kurepa.sequences import (
     touchard_poly,
     wagstaff,
 )
+from kurepa.verifier import bell_mod, block_residues, left_factorial_mod
 
 small_n = st.integers(min_value=0, max_value=120)
+
+
+# every input check of a point function or residue oracle, with an argument just out of range
+GUARDS = [
+    *((func, (-1,), "requires n >= 0") for func in (
+        alt_left_factorial, guy_alternating, bell, decimal_bell, complementary_bell, derangement,
+        touchard_poly, fubini_poly, kurepa_poly, factorial_sum, half_left_factorial,
+    )),
+    (left_factorial_mod, (0,), "requires p >= 1"),
+    (bell_mod, (-1, 5), "requires n >= 0"),
+    (bell_mod, (3, 0), "requires p >= 1"),
+    (block_residues, ([7, 5, 11],), "strictly increasing"),
+    (block_residues, ([1, 2, 3],), "moduli >= 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, message", GUARDS, ids=[f"{f.__name__}({', '.join(map(repr, a))})" for f, a, _ in GUARDS]
+)
+def test_input_checks_reject_out_of_range_arguments(func, args, message):
+    with pytest.raises(ValueError, match=message):
+        func(*args)
 
 
 def test_factorial_values():
@@ -150,8 +174,8 @@ def test_factorial_family_after_a_higher_index():
 
 
 def test_complementary_bell_memory_is_quadratic():
-    # the values plus one live row of the signed Bell triangle: the traced
-    # peak of complementary_bell(800) stays near 1.3 MB, where keeping every
+    # one live row of the signed Bell triangle: the traced peak of
+    # complementary_bell(800) stays near 1.0 MB, where keeping every
     # Stirling row took about 100 MB
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
     code = (

@@ -241,6 +241,24 @@ def test_checkpoint_round_trip(tmp_path):
     assert os.listdir(tmp_path) == ["cp.json"]
 
 
+def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "cp.json")
+    save_checkpoint(checkpoint_from_json(json.dumps(valid_payload())), path)
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        save_checkpoint(checkpoint_from_json(json.dumps(valid_payload(last_completed=11))), path)
+    # the written temp file is removed, and the old checkpoint is untouched
+    assert os.listdir(tmp_path) == ["cp.json"]
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+
+
 # counterexamples that no run can have written, and a wall_seconds that
 # to_json could not write back as JSON
 IMPOSSIBLE = [
