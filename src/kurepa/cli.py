@@ -12,10 +12,11 @@ values, however long the table.
 `seq` reads every family's whole column from its scan in `sequences.SCANS`,
 in every format. csv and plain print with str(), which is quadratic in the
 digit count for an int and linear for a Decimal, so there the column is of
-exact Decimals (`invbell`'s scan yields ints in every format), and `decomp`
-runs the greedy on a Decimal target, whose value column reads the Decimal
-Bell memo. JSON keeps ints: its encoder writes them itself, and converting
-a Decimal to int costs more than printing the int.
+exact Decimals (`invbell`'s scan yields ints in every format). `decomp`
+picks its number type the same way: the greedy runs on a target of that
+type, and the value column is the Bell column up to the largest index.
+JSON keeps ints: its encoder writes them itself, and converting a Decimal
+to int costs more than printing the int.
 Before the destination is opened, main checks the widest number the format
 will print against the interpreter's int-to-str digit limit, Decimals
 included, so the 4300-digit wall is the same in every format: a table that
@@ -44,7 +45,6 @@ from .sequences import (
     bell,
     column,
     complementary_bell,
-    decimal_bell,
     derangement,
     factorial,
     guy_alternating,
@@ -286,13 +286,13 @@ def _build_decomp(args) -> Table:
 
     if args.target < 0:
         raise UsageError("target must be nonnegative")
-    as_decimal = args.format != "json"
-    terms = greedy_bell_decomposition(Decimal(args.target) if as_decimal else args.target)
-    value = decimal_bell if as_decimal else bell
+    one = 1 if args.format == "json" else Decimal(1)
+    terms = greedy_bell_decomposition(type(one)(args.target))
+    values = column(bell, 0, terms[0][0] if terms else 0, one)
     return Table(
         command="decomp",
         columns=["basis", "index", "coefficient", "value"],
-        rows=[["bell", idx, coeff, value(idx)] for idx, coeff in terms],
+        rows=[["bell", idx, coeff, values[idx]] for idx, coeff in terms],
         summary={"target": args.target, "term_count": len(terms)},
         plain=[f"{coeff}*bell_{idx}" for idx, coeff in terms],
     )
@@ -342,17 +342,10 @@ def _build_physics(args) -> Table:
         summary = {"mode": "occupation", "samples": len(rows)}
     elif args.mode == "ordering":
         columns = ["n", "normal", "antinormal"]
-        rows = []
-        for n in range(1, ORDERING_MAX_N + 1):
-            nrm = normal_ordering(n)
-            anm = antinormal_ordering(n)
-            rows.append(
-                [
-                    n,
-                    "_".join(str(nrm.coefficient(k)) for k in range(1, n + 1)),
-                    "_".join(str(anm.coefficient(k)) for k in range(1, n + 1)),
-                ]
-            )
+        rows = [
+            [n, "_".join(map(str, normal_ordering(n).coeffs)), "_".join(map(str, antinormal_ordering(n).coeffs))]
+            for n in range(1, ORDERING_MAX_N + 1)
+        ]
         summary = {"mode": "ordering", "n_max": ORDERING_MAX_N}
     else:
         columns = ["n", "bound", "difference", "status"]

@@ -2,7 +2,9 @@
 
 A decomposition is a tuple of (index, coefficient) pairs, and a basis is
 named by a string. The unsigned (Bell) basis admits a greedy canonical
-form, which the `decomp` subcommand prints. Published decompositions over
+form, which the `decomp` subcommand prints; it reads the Bell numbers up to
+its target through their scan in `sequences.SCANS`, in the target's number
+type, int or Decimal, on one code path. Published decompositions over
 either basis, signed (complementary Bell) included, are only checked: report
 reads them from data/decompositions.txt, re-sums their terms with
 basis_coefficient and compares them with their targets.
@@ -11,10 +13,10 @@ basis_coefficient and compares them with their targets.
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
-from itertools import islice
+from itertools import islice, takewhile
 
 from .efactor import GUARD_DIGITS, format_significant
-from .sequences import EXACT, SCANS, alt_left_factorial, bell, complementary_bell, decimal_bell, left_factorial
+from .sequences import EXACT, SCANS, alt_left_factorial, bell, complementary_bell, left_factorial
 
 # basis name -> the integer coefficient of its element k; the dobinski basis
 # is the Bell basis on the e scale, Bell_k e = sum_j j^k/j!
@@ -36,27 +38,24 @@ def greedy_bell_decomposition(target: int | Decimal) -> tuple[tuple[int, int | D
     Each step takes the largest Bell number not exceeding the remainder with
     the largest possible coefficient. Ties at value 1 resolve to index 1, the
     larger index, which the "largest element" rule gives for free. Each
-    remainder is below the Bell number just used, so the index only walks down.
+    remainder is below the Bell number just used, so one pass down the Bell
+    numbers Bell_m..Bell_1 up to the target finds every term.
 
-    The arithmetic keeps the target's number type: an int target gives int
+    The target's number type is the Bell scan's: an int target gives int
     coefficients, and a Decimal integer target reads the Decimal Bell memo
     and gives Decimal coefficients, computed under the exact context.
     """
     if target < 0:
         raise ValueError("greedy decomposition requires a nonnegative target")
-    bell_of = decimal_bell if isinstance(target, Decimal) else bell
     terms: list[tuple[int, int | Decimal]] = []
     remainder = target
-    m = 1
     # divmod truncates a Decimal toward zero, the floor here: the remainder is never negative
     with localcontext(EXACT):
-        while bell_of(m + 1) <= remainder:
-            m += 1
-        while remainder > 0:
-            while bell_of(m) > remainder:
-                m -= 1
-            q, remainder = divmod(remainder, bell_of(m))
-            terms.append((m, q))
+        bells = list(takewhile(lambda b: b <= target, SCANS[bell](type(target)(1))))
+        for m in range(len(bells) - 1, 0, -1):
+            if bells[m] <= remainder:
+                q, remainder = divmod(remainder, bells[m])
+                terms.append((m, q))
     return tuple(terms)
 
 

@@ -25,7 +25,7 @@ from decimal import MAX_EMAX, Decimal, getcontext, localcontext
 
 from .discrepancy import MATCH, MISMATCH, DiscrepancyReport
 from .efactor import GUARD_DIGITS, format_significant
-from .sequences import stirling2
+from .sequences import touchard_poly
 
 PLANCK_DIGITS = 30
 DEBRUIJN_ENVELOPE = 5
@@ -71,15 +71,14 @@ def normal_ordering(n: int) -> OrderingExpansion:
     """(a+ a)^n = sum_k S(n,k) (a+)^k a^k; coefficients are Stirling numbers."""
     if n < 1:
         raise ValueError("normal_ordering requires n >= 1")
-    return OrderingExpansion(tuple(stirling2(n, k) for k in range(1, n + 1)))
+    return OrderingExpansion(touchard_poly(n)[1:])
 
 
 def antinormal_ordering(n: int) -> OrderingExpansion:
     """Alternating-sign companion with a positive leading (k = n) term."""
     if n < 1:
         raise ValueError("antinormal_ordering requires n >= 1")
-    coeffs = tuple((-1) ** (n - k) * stirling2(n, k) for k in range(1, n + 1))
-    return OrderingExpansion(coeffs)
+    return OrderingExpansion(tuple((-1) ** (n - k) * s for k, s in enumerate(touchard_poly(n)[1:], start=1)))
 
 
 def _cancelling(x: Decimal):

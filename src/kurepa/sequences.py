@@ -16,12 +16,15 @@ and a lower n starts the scan again; and `gcdlab`, `decomp` and the
 polynomials here walk a fresh scan. `factorial` itself is math.factorial.
 
 The Bell and complementary Bell numbers are read from Aitken's array for
-a_(n+1) = sign * sum_k C(n, k) a_k, with sign +1 and -1. Only the Bell
-numbers are memoized, one memo per number type holding O(n^2) bits and
-one row: `decomp`'s greedy reads them downward, and reuses the Decimal
-triangle that a `seq bell` column built. The verifier's bell_mod builds
-its own rows mod p and shares no code with them. No read is locked:
-nothing reads them concurrently.
+a_(n+1) = sign * sum_k C(n, k) a_k, with sign +1 and -1. The Bell numbers
+are read by number type through their scan, like every other family, but
+the scan and `bell(n)` read a memo, one per number type, holding O(n^2)
+bits and one row. It stays for two reasons: `decomp` reads Bell numbers
+twice, in its greedy and then for its value column; and in one process
+`decomp` extends the Decimal triangle that a `seq bell` column built (a
+3000-digit target needs them to about index 1580). The verifier's
+bell_mod builds its own rows mod p and shares no code with them. No read
+is locked: nothing reads them concurrently.
 
 Every `seq` point function returns an int, and every `seq` family has a
 scan in `SCANS`, which `seq` reads in every format; `efactor` adds the
@@ -178,8 +181,8 @@ def _aitken(row: list, sign: int) -> Iterator[list]:
 _bell_memo = {kind: ([], _aitken([kind(1)], 1)) for kind in (int, Decimal)}
 
 
-def _bell(n: int, kind: type = int) -> int | Decimal:
-    values, rows = _bell_memo[kind]
+def _bell(n: int, one: int | Decimal = 1) -> int | Decimal:
+    values, rows = _bell_memo[type(one)]
     if len(values) <= n:
         # next(rows) runs the row's additions under the context current here
         with localcontext(EXACT):
@@ -193,13 +196,6 @@ def bell(n: int) -> int:
     if n < 0:
         raise ValueError("bell requires n >= 0")
     return _bell(n)
-
-
-def decimal_bell(n: int) -> Decimal:
-    """Bell_n as an exact Decimal integer, from the Decimal memo."""
-    if n < 0:
-        raise ValueError("bell requires n >= 0")
-    return _bell(n, Decimal)
 
 
 def complementary_bell(n: int) -> int:
@@ -286,7 +282,7 @@ SCANS = {
     # r_n = !(n+1) / 2, halving a nonnegative value, so // is the floor; !1 // 2 = 0 = r_0
     half_left_factorial: lambda one=1: (v // 2 for v in islice(_left_factorials(one), 1, None)),
     derangement: lambda one=1: accumulate(count(1), _derangement_step, initial=one),
-    bell: lambda one=1: (_bell(n, type(one)) for n in count()),
+    bell: lambda one=1: (_bell(n, one) for n in count()),
     # ints whatever one is: see the module docstring
     complementary_bell: lambda one=1: (row[0] for row in _aitken([1], -1)),
     # rows S(n, 0..n) as tuples of ints; no seq column reads them

@@ -1,10 +1,26 @@
-"""Shared fixtures."""
+"""Shared fixtures, and a fresh interpreter on this source tree."""
 
+import os
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
 
+import kurepa
 from kurepa import verifier
+
+# the directory that holds the kurepa package under test
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
+
+
+def fresh_python(*argv, start=subprocess.run, **kwargs):
+    """`python *argv` in a new interpreter that imports kurepa from SRC_DIR.
+
+    `start` is subprocess.run, or subprocess.Popen for a process the caller
+    waits on; kwargs go to it unchanged.
+    """
+    return start([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=SRC_DIR), **kwargs)
 
 
 @pytest.fixture

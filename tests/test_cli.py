@@ -24,6 +24,7 @@ from kurepa.efactor import EScaled
 from kurepa import sequences
 from kurepa.sequences import SCANS, bell, column
 import oracles
+from conftest import fresh_python
 
 
 @pytest.fixture(scope="module")
@@ -574,11 +575,7 @@ def test_console_script_help():
 
 def python(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
     """Run `python flags -c code args` on this source tree in a fresh interpreter."""
-    import kurepa
-
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
-    env = dict(os.environ, PYTHONPATH=src_dir)
-    return subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True, text=True, env=env)
+    return fresh_python(*flags, "-c", code, *args, capture_output=True, text=True)
 
 
 # dataclasses loads inspect, ast, dis and tokenize, which every fresh command would pay for

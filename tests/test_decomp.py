@@ -1,5 +1,7 @@
 """Decompositions over the Bell-family bases and the log identities."""
 
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,10 +39,19 @@ def _rescan_greedy(target):
     return tuple(terms)
 
 
+# the Bell numbers B_m - 1, B_m and B_m + 1, where the greedy's top index changes
+_bell_boundaries = st.builds(lambda m, step: bell(m) + step, st.integers(0, 300), st.sampled_from([-1, 0, 1]))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 10**200 - 1)))
+@given(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 10**200 - 1), _bell_boundaries))
 def test_greedy_matches_rescan(target):
-    assert greedy_bell_decomposition(target) == _rescan_greedy(target)
+    terms = greedy_bell_decomposition(target)
+    assert terms == _rescan_greedy(target)
+    # a Decimal target gives the same terms, each coefficient an exact Decimal integer
+    decimal_terms = greedy_bell_decomposition(Decimal(target))
+    assert all(type(c) is Decimal for _, c in decimal_terms)
+    assert [(i, str(c)) for i, c in decimal_terms] == [(i, str(c)) for i, c in terms]
 
 
 def test_greedy_value_one_ties_to_index_one():

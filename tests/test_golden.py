@@ -35,15 +35,11 @@ import hashlib
 import json
 import math
 import os
-import subprocess
-import sys
 
 import pytest
 
-import kurepa
+from conftest import fresh_python
 from kurepa.report import full_report
-
-SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
 
 # a 3000-digit target drawn once with random.randrange(10**2999, 10**3000)
 with open(os.path.join(os.path.dirname(__file__), "data", "decomp_target.txt")) as fh:
@@ -113,12 +109,7 @@ PINNED = {(fmt, argv): digest for fmt, argv, digest in GOLDEN_OTHER} | {
 
 
 def kurepa_out(fmt: str, *argv: str) -> bytes:
-    env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    proc = subprocess.run(
-        [sys.executable, "-m", "kurepa", *argv, "--format", fmt],
-        capture_output=True,
-        env=env,
-    )
+    proc = fresh_python("-m", "kurepa", *argv, "--format", fmt, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 
@@ -166,12 +157,8 @@ def test_decimal_output_ignores_the_callers_context(setup):
         "    print(code, digest(out.getvalue().encode()).hexdigest())\n"
     )
     commands = [*DECIMAL_PINS, ("csv", ("report",))]
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        input=json.dumps([[fmt, *argv] for fmt, argv in commands]),
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+    proc = fresh_python(
+        "-c", script, input=json.dumps([[fmt, *argv] for fmt, argv in commands]), capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     expected = [f"0 {PINNED[fmt, argv]}" for fmt, argv in DECIMAL_PINS] + [f"0 {REPORT_CSV_MD5}"]

@@ -1,21 +1,17 @@
 """Unit tests for the exact integer sequences."""
 
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-import kurepa
+from conftest import fresh_python
 from kurepa.sequences import (
     alt_left_factorial,
     bell,
     column,
     complementary_bell,
     consecutive_factorial_sum,
-    decimal_bell,
     derangement,
     factorial,
     factorial_sum,
@@ -36,7 +32,7 @@ small_n = st.integers(min_value=0, max_value=120)
 # every input check of a point function or residue oracle, with an argument just out of range
 GUARDS = [
     *((func, (-1,), "requires n >= 0") for func in (
-        alt_left_factorial, guy_alternating, bell, decimal_bell, complementary_bell, derangement,
+        alt_left_factorial, guy_alternating, bell, complementary_bell, derangement,
         touchard_poly, fubini_poly, kurepa_poly, factorial_sum, half_left_factorial,
     )),
     (left_factorial_mod, (0,), "requires p >= 1"),
@@ -174,44 +170,44 @@ def test_factorial_family_after_a_higher_index():
 
 
 def test_complementary_bell_memory_is_quadratic():
-    # one live row of the signed Bell triangle: the traced peak of
-    # complementary_bell(800) stays near 1.0 MB, where keeping every
-    # Stirling row took about 100 MB
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
-    code = (
+    # one live row of the signed Bell triangle: the traced peak is about
+    # 1.0 MB at n = 800 and grows about 4.4x per doubling of n, where keeping
+    # every Stirling row took about 100 MB at 800 and grew 8x per doubling.
+    # A memo of the values (1.27 MB at 800, also quadratic) still passes.
+    proc = fresh_python(
+        "-c",
         "import tracemalloc\n"
         "from kurepa.sequences import complementary_bell\n"
         "tracemalloc.start()\n"
         "complementary_bell(800)\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
+        "tracemalloc.reset_peak()\n"
+        "complementary_bell(1600)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n",
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=src_dir),
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 16 * 2**20
+    peak_800, peak_1600 = map(int, proc.stdout.split())
+    assert peak_800 < 2 * 2**20
+    assert peak_1600 < 6 * peak_800
 
 
 def test_decimal_bell_ignores_the_callers_context():
     # a fresh interpreter, so the Decimal memo is built inside the caller's
-    # 5-digit context, which would round every Bell number past B_8
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
-    code = (
+    # 5-digit context, which would round every Bell number past B_8. The scan
+    # is read directly: column would enter the exact context itself
+    proc = fresh_python(
+        "-c",
         "import decimal\n"
-        "from kurepa.sequences import bell, decimal_bell\n"
+        "from itertools import islice\n"
+        "from kurepa.sequences import SCANS, bell\n"
         "with decimal.localcontext() as ctx:\n"
         "    ctx.prec = 5\n"
-        "    value = decimal_bell(300)\n"
-        "assert str(value) == str(bell(300)), value\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
+        "    value = next(islice(SCANS[bell](decimal.Decimal(1)), 300, None))\n"
+        "assert str(value) == str(bell(300)), value\n",
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=src_dir),
     )
     assert proc.returncode == 0, proc.stderr
 

@@ -9,13 +9,13 @@ import os
 import random
 import signal
 import subprocess
-import sys
 import time
 from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import fresh_python
 from kurepa import verifier
 from kurepa.sequences import bell, derangement, left_factorial
 from kurepa.verifier import (
@@ -642,13 +642,8 @@ STRAIGHT_600K = "db0c42fe921a5235c6b7a5250985f8dcc6c0ec2ef59387f8a5a210671259c4d
 
 def run_verify(hi, workers, cp, **popen):
     """Start `verify 3 hi --histogram` with a checkpoint in a new interpreter."""
-    import kurepa
-
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kurepa.__file__)))
     argv = ["verify", "3", str(hi), "--histogram", "--workers", str(workers), "--checkpoint", str(cp)]
-    return subprocess.Popen(
-        [sys.executable, "-m", "kurepa", *argv], env=dict(os.environ, PYTHONPATH=src_dir), **popen
-    )
+    return fresh_python("-m", "kurepa", *argv, start=subprocess.Popen, **popen)
 
 
 def start_verify_then_signal(tmp_path, sig, workers, group=False, hi=1_000_000):
