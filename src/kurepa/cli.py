@@ -38,7 +38,6 @@ from decimal import Decimal, localcontext
 
 # SEQUENCES holds functions of sequences and efactor; every other layer is
 # imported by the builder that runs it, so a subcommand loads only its own
-from .discrepancy import MISMATCH
 from .efactor import GUARD_DIGITS, EScaled, dobinski, fermi, format_significant
 from .sequences import (
     alt_left_factorial,
@@ -264,6 +263,7 @@ def _build_verify(args) -> Table:
 
 
 def _build_report(args) -> Table:
+    from .discrepancy import MISMATCH
     from .report import full_report
 
     reports = full_report()

@@ -579,7 +579,9 @@ def python(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.Com
 
 
 # dataclasses loads inspect, ast, dis and tokenize, which every fresh command would pay for
-@pytest.mark.parametrize("module", ["numpy", "multiprocessing", "mpmath", "json", "dataclasses", "inspect"])
+@pytest.mark.parametrize(
+    "module", ["numpy", "multiprocessing", "mpmath", "json", "dataclasses", "inspect", "kurepa.discrepancy"]
+)
 def test_cli_import_does_not_load(module):
     proc = python(f"import kurepa.cli, sys; assert {module!r} not in sys.modules")
     assert proc.returncode == 0, proc.stderr
