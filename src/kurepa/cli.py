@@ -9,14 +9,12 @@ data/output-schema.json. The renderers are line generators, and main writes
 each line as it is produced, so output memory is one line plus the table's
 values, however long the table.
 
-`seq` reads every family's whole column from its scan in `sequences.SCANS`,
-in every format. csv and plain print with str(), which is quadratic in the
-digit count for an int and linear for a Decimal, so there the column is of
-exact Decimals (`invbell`'s scan yields ints in every format). `decomp`
-picks its number type the same way: the greedy runs on a target of that
-type, and the value column is the Bell column up to the largest index.
-JSON keeps ints: its encoder writes them itself, and converting a Decimal
-to int costs more than printing the int.
+`seq` reads every family's whole column from its scan in `sequences.SCANS`
+as exact Decimal integers, in every format: an int prints in time quadratic
+in its digit count, a Decimal in linear time (`invbell`'s scan yields ints
+all the same). `decomp` runs its greedy on a Decimal target, and its value
+column is the Bell column up to the largest index. JSON prints a Decimal
+cell as its digits, the bytes json prints for the equal int.
 Before the destination is opened, main checks the widest number the format
 will print against the interpreter's int-to-str digit limit, Decimals
 included, so the 4300-digit wall is the same in every format: a table that
@@ -112,13 +110,6 @@ class Table:
         self.plain, self.exit_code = plain, exit_code
 
 
-def _json_default(cell):
-    """The JSON form of EScaled, the one cell type json cannot encode itself."""
-    if not isinstance(cell, EScaled):
-        raise TypeError(f"cannot encode {type(cell).__name__} as JSON")
-    return {"coeff": str(cell.coeff), "epower": cell.epower}
-
-
 def _csv_lines(columns, rows) -> Iterator[str]:
     yield ",".join(columns) + "\n"
     for row in rows:
@@ -126,13 +117,32 @@ def _csv_lines(columns, rows) -> Iterator[str]:
 
 
 def _json_chunks(table: Table) -> Iterator[str]:
+    """The envelope one row at a time, as json.dumps(indent=2) prints it with int cells.
+
+    A Decimal cell prints as its digits; any other value is json's text,
+    re-indented to its depth (json escapes the newlines inside strings).
+    """
     # only the json format pays for this import
     import json
 
-    payload = {"command": table.command, "columns": table.columns, "rows": table.rows, "summary": table.summary}
-    # json.dumps with an indent runs this same pure-Python encoder, so the bytes match it
-    yield from json.JSONEncoder(indent=2, default=_json_default).iterencode(payload)
-    yield "\n"
+    encode = json.JSONEncoder(indent=2).encode
+
+    def dumps(value, depth: int) -> str:
+        if isinstance(value, Decimal):
+            return str(value)
+        if isinstance(value, EScaled):
+            value = {"coeff": str(value.coeff), "epower": value.epower}
+        return encode(value).replace("\n", "\n" + "  " * depth)
+
+    def array(items: list, depth: int, show) -> Iterator[str]:
+        pad = "\n" + "  " * depth
+        for i, item in enumerate(items):
+            yield ("," if i else "[") + pad + "  " + show(item)
+        yield pad + "]" if items else "[]"
+
+    yield f'{{\n  "command": {dumps(table.command, 1)},\n  "columns": {dumps(table.columns, 1)},\n  "rows": '
+    yield from array(table.rows, 1, lambda row: "".join(array(row, 2, lambda cell: dumps(cell, 3))))
+    yield f',\n  "summary": {dumps(table.summary, 1)}\n}}\n'
 
 
 def _plain_lines(lines) -> Iterator[str]:
@@ -164,24 +174,19 @@ def _numbers(cells) -> Iterator[int | Decimal]:
 def _check_printable(args, table: Table) -> None:
     """Raise the interpreter's own ValueError if the format would print a too-wide integer.
 
-    CPython refuses str(x) for an int x once it has more than
-    sys.get_int_max_str_digits() digits (0 means no limit), which holds
-    exactly when |x| >= 10**limit. A Decimal integer prints at any width, so
-    the same wall holds for it by its digit count, adjusted() + 1, and only
-    the widest one is converted to int, to raise the same message.
-    Interpreters before 3.10.7 have no limit.
+    CPython refuses str(x) for an int x of more than sys.get_int_max_str_digits()
+    digits (0 means no limit), that is when |x| >= 10**limit, and a Decimal
+    integer, which prints at any width, is held to the same wall by its digit
+    count, adjusted() + 1. str(10**limit) raises the error: its message names
+    only the limit. Interpreters before 3.10.7 have no limit.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return
+    wall = 10**limit
     printed = [table.rows, table.summary] if args.format == "json" else table.rows
-    numbers = list(_numbers(printed))
-    widest = max((x for x in numbers if isinstance(x, Decimal)), key=Decimal.adjusted, default=Decimal(0))
-    if widest.adjusted() >= limit:
-        str(int(widest))
-    widest = max((abs(x) for x in numbers if not isinstance(x, Decimal)), default=0)
-    if widest >= 10**limit:
-        str(widest)
+    if any(x.adjusted() >= limit if isinstance(x, Decimal) else abs(x) >= wall for x in _numbers(printed)):
+        str(wall)
 
 
 def _max_n() -> int:
@@ -210,8 +215,7 @@ def _build_seq(args) -> Table:
     if args.n_hi < args.n_lo:
         raise UsageError("need n_lo <= n_hi")
     _check_cap("n_hi", args.n_hi)
-    one = 1 if args.format == "json" else Decimal(1)
-    values = column(func, args.n_lo, args.n_hi, one)
+    values = column(func, args.n_lo, args.n_hi, Decimal(1))
     return Table(
         command="seq",
         columns=["n", args.name],
@@ -286,9 +290,8 @@ def _build_decomp(args) -> Table:
 
     if args.target < 0:
         raise UsageError("target must be nonnegative")
-    one = 1 if args.format == "json" else Decimal(1)
-    terms = greedy_bell_decomposition(type(one)(args.target))
-    values = column(bell, 0, terms[0][0] if terms else 0, one)
+    terms = greedy_bell_decomposition(Decimal(args.target))
+    values = column(bell, 0, terms[0][0] if terms else 0, Decimal(1))
     return Table(
         command="decomp",
         columns=["basis", "index", "coefficient", "value"],

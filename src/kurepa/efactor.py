@@ -19,8 +19,8 @@ GUARD_DIGITS = 10
 
 
 class EScaled:
-    """c * e^s for an exact integer c: an int, or a Decimal integer in the csv
-    and plain seq columns. The zero value is canonicalized to (0, 0)."""
+    """c * e^s for an exact integer c: an int, or a Decimal integer in the seq
+    columns. The zero value is canonicalized to (0, 0)."""
 
     __slots__ = ("coeff", "epower")
 

@@ -27,16 +27,14 @@ bell_mod builds its own rows mod p and shares no code with them. No read
 is locked: nothing reads them concurrently.
 
 Every `seq` point function returns an int, and every `seq` family has a
-scan in `SCANS`, which `seq` reads in every format; `efactor` adds the
-Dobinski and Fermi scans, which wrap the Bell scan in e^s. The JSON `seq`
-format prints a column of ints; csv and plain print a column of exact
+scan in `SCANS`; `efactor` adds the Dobinski and Fermi scans, which wrap
+the Bell scan in e^s. `seq` prints, in every format, a column of exact
 `Decimal` integers, computed under the `EXACT` context (no bound on digits
 or exponent; any rounding or invalid operation raises). `column` enters
-that context, so no value depends on the caller's. csv and plain print
-with `str()`, which is linear in the digit count for a `Decimal` and
-quadratic for an int, and converting a finished int to `Decimal` costs
-about as much as printing it, so a column is a `Decimal` from its first
-step. That makes the factorial family's csv 5-8x faster at n = 1500, and
+that context, so no value depends on the caller's. A `Decimal` prints in
+time linear in its digit count and an int in quadratic time, and
+converting a finished int to `Decimal` costs about as much as printing
+it, so a column is a `Decimal` from its first step. That makes the factorial family's csv 5-8x faster at n = 1500, and
 `bell`'s a little faster, as its triangle adds about as fast in `Decimal`.
 The `invbell` scan yields ints in every format: its signed triangle adds
 more slowly in `Decimal` than its values print as ints, and -1 * 0 is -0

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -106,9 +107,11 @@ ALL_JSON_COMMANDS = [
     ("seq", "bell", "0", "6"),
     ("seq", "dobinski", "0", "4"),
     ("seq", "fermi", "1", "4"),
+    ("seq", "left_factorial", "1", "300"),
     ("verify", "3", "200"),
     ("report",),
     ("decomp", "5914"),
+    ("decomp", "0"),
     ("gcd-scan", "4", "20"),
     ("physics", "occupation"),
     ("physics", "ordering"),
@@ -125,12 +128,21 @@ def test_json_outputs_validate(capsys, output_schema, argv):
     jsonschema.validate(payload, output_schema)
 
 
+def _json_cell(cell):
+    """The stdlib encoder's form of the cells it cannot encode itself."""
+    if isinstance(cell, Decimal):
+        return int(cell)
+    if isinstance(cell, EScaled):
+        return {"coeff": str(cell.coeff), "epower": cell.epower}
+    raise TypeError(f"cannot encode {type(cell).__name__} as JSON")
+
+
 RENDERERS = {
     "plain": lambda table: cli.render_plain(table.plain),
     "csv": lambda table: cli.render_csv(table.columns, table.rows),
     "json": lambda table: json.dumps(
         {"command": table.command, "columns": table.columns, "rows": table.rows, "summary": table.summary},
-        indent=2, default=cli._json_default,
+        indent=2, default=_json_cell,
     ) + "\n",
 }
 
@@ -163,16 +175,16 @@ def test_out_file_needs_less_memory_than_its_size(tmp_path):
     assert peak - start < size
 
 
-# ways a seq value can carry an integer of a given width, with the formats
-# that print it: plain, negative, as an EScaled coefficient, and as a
-# Decimal, bare or as an EScaled coefficient, which only csv and plain print
+# ways a seq value can carry an integer of a given width, each printed in
+# every format: plain, negative, as an EScaled coefficient, and as a
+# Decimal, bare or as an EScaled coefficient
 WIDE_CELLS = [
     ("int", "bell", lambda x: x, ("plain", "csv", "json")),
     ("negative", "bell", lambda x: -x, ("plain", "csv", "json")),
     ("coefficient", "dobinski", lambda x: EScaled(x, 1), ("plain", "csv", "json")),
-    ("decimal", "bell", Decimal, ("plain", "csv")),
-    ("negative_decimal", "bell", lambda x: Decimal(-x), ("plain", "csv")),
-    ("decimal_coefficient", "dobinski", lambda x: EScaled(Decimal(x), 1), ("plain", "csv")),
+    ("decimal", "bell", Decimal, ("plain", "csv", "json")),
+    ("negative_decimal", "bell", lambda x: Decimal(-x), ("plain", "csv", "json")),
+    ("decimal_coefficient", "dobinski", lambda x: EScaled(Decimal(x), 1), ("plain", "csv", "json")),
 ]
 
 
@@ -196,13 +208,13 @@ def test_digit_limit_is_checked_exactly(tmp_path, capsys, monkeypatch, name, wra
     assert not target.exists()
 
 
-@pytest.mark.parametrize("fmt", ["plain", "csv"])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 def test_left_factorial_prints_up_to_the_digit_limit(tmp_path, capsys, fmt):
-    # csv and plain compute !n as a Decimal, whose str() has no limit of its own
+    # every format computes !n as a Decimal, whose str() has no limit of its own
     code, out, _ = run(capsys, "seq", "left_factorial", "1", "1559", "--format", fmt)
     assert code == 0
-    last = out.splitlines()[-1].rpartition(",")[2]
-    assert len(last) == 4300
+    widest = max(re.findall(r"\d+", out), key=len)
+    assert len(widest) == 4300
     target = tmp_path / "out.txt"
     code, out, err = run(capsys, "seq", "left_factorial", "1", "1560", "--format", fmt, "--out", str(target))
     assert code == 2

@@ -1,5 +1,6 @@
 """Full discrepancy report: row counts, frozen mismatch set, formatting."""
 
+import functools
 import importlib.util
 import os
 import re
@@ -292,9 +293,27 @@ def _joined(coeffs):
     return "_".join(map(str, coeffs))
 
 
+def _a(n):
+    # A_n = F_n + (-1)^n
+    return oracles.factorial_sum(n) + (-1) ** n
+
+
+def _b(n):
+    # B_n = F_n - (-1)^n
+    return oracles.factorial_sum(n) - (-1) ** n
+
+
+def _gcd(*values):
+    return functools.reduce(oracles.gcd_euclid, values)
+
+
+_F = oracles.factorial_sum
+
 # column key -> its cell at index n from the textbook definitions: the
 # columns that print one family's value (the factorial sum with F_0 = 0,
-# r_n = F_n / 2 and the empty left factorial 0), and the Stirling rows
+# r_n = F_n / 2 and the empty left factorial 0), the Stirling rows, the
+# shifted factorial sums of table 10 with A_n and B_n, the gcd columns over
+# them by the Euclid chain, and the shifted gcd scans by their definition
 ORACLE_COLUMNS = {
     "table1.nfact": oracles.factorial,
     "table1.kurepa": oracles.left_factorial,
@@ -313,6 +332,36 @@ ORACLE_COLUMNS = {
     "thm4.17.f": oracles.factorial_sum,
     "thm4.17.r": oracles.half_left_factorial,
     "table10.f": oracles.factorial_sum,
+    "table10.f2n": lambda n: _F(2 * n),
+    "table10.fnext": lambda n: _F(n + 1),
+    "table10.fnext2": lambda n: _F(n + 2),
+    "table10.diff2": lambda n: _F(n + 2) - _F(n + 1),
+    "table10.diff1": lambda n: _F(n + 1) - _F(n),
+    "table10.fplus1": lambda n: _F(n) + 1,
+    "table10.a": _a,
+    "table10.fplus2": lambda n: _F(n) + 2,
+    "table10.fminus2": lambda n: _F(n) - 2,
+    "table10.nextplus1": lambda n: _F(n + 1) + 1,
+    "table10.nextminus1": lambda n: _F(n + 1) - 1,
+    "table10.anext": lambda n: _a(n + 1),
+    "table10.bnext": lambda n: _b(n + 1),
+    "table10.nextplus2": lambda n: _F(n + 1) + 2,
+    "table10.nextminus2": lambda n: _F(n + 1) - 2,
+    "table10.fminus1": lambda n: _F(n) - 1,
+    "table10.b": _b,
+    "fourpart.p1": lambda n: _gcd(_F(n + 1), _F(n)),
+    "fourpart.p2": lambda n: _gcd(_F(n + 2), _F(n + 1)),
+    "fourpart.p3": lambda n: f"{_gcd(_F(n), _F(n + 1) - _F(n))}_{_gcd(_F(n), oracles.factorial(n + 1))}",
+    "fourpart.p4": lambda n: _gcd(_F(n), _F(n + 1), _F(n + 2), _F(n + 3)),
+    "aseq.gcd": lambda n: _gcd(_a(n), _a(n + 1)),
+    "bseq.gcd": lambda n: _gcd(_b(n), _b(n + 1)),
+    "abpair.gcd": lambda n: _gcd(_a(n), _b(n)),
+    "pmpair.gcd": lambda n: _gcd(_F(n) + 1, _F(n) - 1),
+    "altered.a2": lambda n: oracles.shifted_gcd(2, n),
+    "altered.a3": lambda n: oracles.shifted_gcd(3, n),
+    "altered.a3.shifted": lambda n: _gcd(oracles.left_factorial(n) + 3, oracles.left_factorial(n + 1) + 3),
+    "altered.a4": lambda n: oracles.shifted_gcd(4, n),
+    "altered.a5": lambda n: oracles.shifted_gcd(5, n),
     "gas.coeff": oracles.bell,
     "table6.fubini": lambda n: _joined(oracles.factorial(k) * oracles.stirling2(n, k) for k in range(n + 1)),
     "table12.touchard": lambda n: _joined(oracles.stirling2(n, k) for k in range(n + 1)),
@@ -329,4 +378,4 @@ def test_family_cells_match_the_textbook_oracles(report):
             if r.computed != expected:
                 wrong.append((r.claim_id, r.computed, expected))
     assert not wrong, wrong
-    assert checked == 171
+    assert checked == 514
