@@ -36,7 +36,6 @@ _EXPORTS = {
     "half_left_factorial": "sequences",
     "kurepa_poly": "sequences",
     "left_factorial": "sequences",
-    "stirling2": "sequences",
     "left_factorial_mod": "verifier",
     "run_search": "verifier",
     "sieve_primes": "verifier",

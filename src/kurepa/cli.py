@@ -9,8 +9,9 @@ data/output-schema.json. The renderers are line generators, and main writes
 each line as it is produced, so output memory is one line plus the table's
 values, however long the table.
 
-`seq` reads every family's whole column from its scan in `sequences.SCANS`
-as exact Decimal integers, in every format: an int prints in time quadratic
+`seq` reads every family's whole column from the scan in its `SEQUENCES`
+entry, which holds `sequences.FAMILIES` and efactor's e-scaled families, as
+exact Decimal integers, in every format: an int prints in time quadratic
 in its digit count, a Decimal in linear time (`invbell`'s scan yields ints
 all the same). `decomp` runs its greedy on a Decimal target, and its value
 column is the Bell column up to the largest index. JSON prints a Decimal
@@ -34,21 +35,10 @@ import sys
 from collections.abc import Iterable, Iterator
 from decimal import Decimal, localcontext
 
-# SEQUENCES holds functions of sequences and efactor; every other layer is
-# imported by the builder that runs it, so a subcommand loads only its own
-from .efactor import GUARD_DIGITS, EScaled, dobinski, fermi, format_significant
-from .sequences import (
-    alt_left_factorial,
-    bell,
-    column,
-    complementary_bell,
-    derangement,
-    factorial,
-    guy_alternating,
-    half_left_factorial,
-    left_factorial,
-    wagstaff,
-)
+# SEQUENCES holds the families of sequences and efactor; every other layer
+# is imported by the builder that runs it, so a subcommand loads only its own
+from .efactor import GUARD_DIGITS, SCALED_FAMILIES, EScaled, format_significant
+from .sequences import FAMILIES, column
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 10
@@ -65,20 +55,9 @@ ORDERING_MAX_N = 8
 # seconds at 5000 and over a minute at 50000
 MAX_DIGITS = 1000
 
-# sequence-id -> (generator, smallest valid index)
-SEQUENCES = {
-    "factorial": (factorial, 0),
-    "left_factorial": (left_factorial, 1),
-    "alt_left": (alt_left_factorial, 0),
-    "guy_alt": (guy_alternating, 0),
-    "wagstaff": (wagstaff, 1),
-    "bell": (bell, 0),
-    "invbell": (complementary_bell, 0),
-    "derangement": (derangement, 0),
-    "r": (half_left_factorial, 0),
-    "dobinski": (dobinski, 0),
-    "fermi": (fermi, 0),
-}
+# seq name -> Family(read, first, scan): the point function, the smallest
+# valid index and the scan that prints the column
+SEQUENCES = {**FAMILIES, **SCALED_FAMILIES}
 
 
 class UsageError(Exception):
@@ -209,13 +188,13 @@ def _check_cap(label: str, n: int) -> None:
 
 
 def _build_seq(args) -> Table:
-    func, min_n = SEQUENCES[args.name]
-    if args.n_lo < min_n:
-        raise UsageError(f"{args.name} starts at n = {min_n}")
+    _, first, scan = SEQUENCES[args.name]
+    if args.n_lo < first:
+        raise UsageError(f"{args.name} starts at n = {first}")
     if args.n_hi < args.n_lo:
         raise UsageError("need n_lo <= n_hi")
     _check_cap("n_hi", args.n_hi)
-    values = column(func, args.n_lo, args.n_hi, Decimal(1))
+    values = column(scan, args.n_lo, args.n_hi, Decimal(1))
     return Table(
         command="seq",
         columns=["n", args.name],
@@ -291,7 +270,7 @@ def _build_decomp(args) -> Table:
     if args.target < 0:
         raise UsageError("target must be nonnegative")
     terms = greedy_bell_decomposition(Decimal(args.target))
-    values = column(bell, 0, terms[0][0] if terms else 0, Decimal(1))
+    values = column(FAMILIES["bell"].scan, 0, terms[0][0] if terms else 0, Decimal(1))
     return Table(
         command="decomp",
         columns=["basis", "index", "coefficient", "value"],

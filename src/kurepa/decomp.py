@@ -3,8 +3,8 @@
 A decomposition is a tuple of (index, coefficient) pairs, and a basis is
 named by a string. The unsigned (Bell) basis admits a greedy canonical
 form, which the `decomp` subcommand prints; it reads the Bell numbers up to
-its target through their scan in `sequences.SCANS`, in the target's number
-type, int or Decimal, on one code path. Published decompositions over
+its target through the Bell scan of `sequences.FAMILIES`, in the target's
+number type, int or Decimal, on one code path. Published decompositions over
 either basis, signed (complementary Bell) included, are only checked: report
 reads them from data/decompositions.txt, re-sums their terms with
 basis_coefficient and compares them with their targets.
@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from itertools import islice, takewhile
 
 from .efactor import GUARD_DIGITS, format_significant
-from .sequences import EXACT, SCANS, alt_left_factorial, bell, complementary_bell, left_factorial
+from .sequences import EXACT, FAMILIES, bell, complementary_bell, left_factorial
 
 # basis name -> the integer coefficient of its element k; the dobinski basis
 # is the Bell basis on the e scale, Bell_k e = sum_j j^k/j!
@@ -51,7 +51,7 @@ def greedy_bell_decomposition(target: int | Decimal) -> tuple[tuple[int, int | D
     remainder = target
     # divmod truncates a Decimal toward zero, the floor here: the remainder is never negative
     with localcontext(EXACT):
-        bells = list(takewhile(lambda b: b <= target, SCANS[bell](type(target)(1))))
+        bells = list(takewhile(lambda b: b <= target, FAMILIES["bell"].scan(type(target)(1))))
         for m in range(len(bells) - 1, 0, -1):
             if bells[m] <= remainder:
                 q, remainder = divmod(remainder, bells[m])
@@ -63,14 +63,14 @@ def kurepa_sequence_sum(n: int) -> int:
     """Sum of !i for 1 <= i <= n."""
     if n < 1:
         raise ValueError("kurepa_sequence_sum requires n >= 1")
-    return sum(islice(SCANS[left_factorial](), 1, n + 1))
+    return sum(islice(FAMILIES["left_factorial"].scan(), 1, n + 1))
 
 
 def alt_kurepa_sequence_sum(n: int) -> int:
     """Sum of the alternating variant over 1 <= i <= n."""
     if n < 1:
         raise ValueError("alt_kurepa_sequence_sum requires n >= 1")
-    return sum(islice(SCANS[alt_left_factorial](), 1, n + 1))
+    return sum(islice(FAMILIES["alt_left"].scan(), 1, n + 1))
 
 
 def log_left_factorial(n: int, base="e", digits: int = 15) -> str:

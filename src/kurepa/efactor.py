@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from decimal import ROUND_HALF_UP, Context, Decimal
 
-from .sequences import SCANS, bell, complementary_bell
+from .sequences import FAMILIES, Family, bell, complementary_bell
 
 # extra working digits used by every approximate evaluation
 GUARD_DIGITS = 10
@@ -52,9 +52,12 @@ def fermi(n: int) -> EScaled:
     return EScaled(bell(n), 2)
 
 
-# the e-scaled columns wrap the Bell scan, in its number type
-SCANS[dobinski] = lambda one=1: (EScaled(b, 1) for b in SCANS[bell](one))
-SCANS[fermi] = lambda one=1: (EScaled(b, 2) for b in SCANS[bell](one))
+# the e-scaled seq families, as in sequences.FAMILIES: their scans wrap the
+# Bell scan, in its number type
+SCALED_FAMILIES = {
+    "dobinski": Family(dobinski, 0, lambda one=1: (EScaled(b, 1) for b in FAMILIES["bell"].scan(one))),
+    "fermi": Family(fermi, 0, lambda one=1: (EScaled(b, 2) for b in FAMILIES["bell"].scan(one))),
+}
 
 
 def format_significant(value, digits: int) -> str:

@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from itertools import islice
 
-from .sequences import SCANS, left_factorial
+from .sequences import FAMILIES
 
 
 def gcd_stein(a: int, b: int) -> int:
@@ -73,7 +73,7 @@ def scan_altered(a: int, ns: Iterable[int]) -> list[AlteredScanRow]:
     values = [math.gcd(a, a + 2)]
     g = 1  # gcd(!1 + a, 1!)
     # left = !m = F_n at m = n + 1
-    for m, left in enumerate(islice(SCANS[left_factorial](), 2, max(ns, default=0) + 2), 2):
+    for m, left in enumerate(islice(FAMILIES["left_factorial"].scan(), 2, max(ns, default=0) + 2), 2):
         g = math.gcd(left + a, m * g)
         values.append(g)
     return [AlteredScanRow(n=n, value=values[n]) for n in ns]

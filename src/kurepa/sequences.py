@@ -7,13 +7,15 @@ coefficients, constant term first.
 Each factorial family (n!, the left factorial !n and !n - 1, the
 alternating sums, r_n = !(n+1) / 2 and the derangements D_n), the
 complementary Bell numbers and the Stirling rows are each defined once, as
-a scan that carries only the running values the family reads. `SCANS`
-maps a family's point function to its scan, whose start value, 1 or
-Decimal(1), sets the number type. A scan is read three ways: `column`
-takes a whole column n = lo..hi; each point function reads one rolling
-copy of its family's scan, so reads in increasing n cost one step each
-and a lower n starts the scan again; and `gcdlab`, `decomp` and the
-polynomials here walk a fresh scan. `factorial` itself is math.factorial.
+a scan that carries only the running values the family reads, whose start
+value, 1 or Decimal(1), sets the number type. `FAMILIES` maps a `seq` name
+to its family's point function, first index and scan; the Stirling rows,
+which no `seq` column prints, have only a rolling read. A scan is read
+three ways: `column` takes a whole column n = lo..hi; each point function
+reads one rolling copy of its family's scan, so reads in increasing n cost
+one step each and a lower n starts the scan again; and `gcdlab`, `decomp`
+and the polynomials here walk a fresh scan. `factorial` itself is
+math.factorial.
 
 The Bell and complementary Bell numbers are read from Aitken's array for
 a_(n+1) = sign * sum_k C(n, k) a_k, with sign +1 and -1. The Bell numbers
@@ -26,9 +28,9 @@ twice, in its greedy and then for its value column; and in one process
 bell_mod builds its own rows mod p and shares no code with them. No read
 is locked: nothing reads them concurrently.
 
-Every `seq` point function returns an int, and every `seq` family has a
-scan in `SCANS`; `efactor` adds the Dobinski and Fermi scans, which wrap
-the Bell scan in e^s. `seq` prints, in every format, a column of exact
+Every point function in `FAMILIES` returns an int; `efactor` declares the
+Dobinski and Fermi families in a table of its own, whose scans wrap the
+Bell scan in e^s. `seq` prints, in every format, a column of exact
 `Decimal` integers, computed under the `EXACT` context (no bound on digits
 or exponent; any rounding or invalid operation raises). `column` enters
 that context, so no value depends on the caller's. A `Decimal` prints in
@@ -44,6 +46,7 @@ there.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
 from decimal import (
     MAX_EMAX,
@@ -137,14 +140,14 @@ def left_factorial(n: int) -> int:
     """
     if n < 1:
         raise ValueError("left_factorial requires n >= 1")
-    return _READS[left_factorial](n)
+    return _READS["left_factorial"](n)
 
 
 def alt_left_factorial(n: int) -> int:
     """Alternating variant: sum of (-1)^m * m! over 0 <= m < n, with value 0 at n = 0."""
     if n < 0:
         raise ValueError("alt_left_factorial requires n >= 0")
-    return _READS[alt_left_factorial](n)
+    return _READS["alt_left"](n)
 
 
 def guy_alternating(n: int) -> int:
@@ -155,7 +158,7 @@ def guy_alternating(n: int) -> int:
     """
     if n < 0:
         raise ValueError("guy_alternating requires n >= 0")
-    return _READS[guy_alternating](n)
+    return _READS["guy_alt"](n)
 
 
 def wagstaff(n: int) -> int:
@@ -204,35 +207,28 @@ def complementary_bell(n: int) -> int:
     """
     if n < 0:
         raise ValueError("complementary_bell requires n >= 0")
-    return _READS[complementary_bell](n)
+    return _READS["invbell"](n)
 
 
 def derangement(n: int) -> int:
     """Derangement count via D_n = n * D_{n-1} + (-1)^n, D_0 = 1."""
     if n < 0:
         raise ValueError("derangement requires n >= 0")
-    return _READS[derangement](n)
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k), 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError("stirling2 requires 0 <= k <= n")
-    return _READS[touchard_poly](n)[k]
+    return _READS["derangement"](n)
 
 
 def touchard_poly(n: int) -> tuple[int, ...]:
     """Ascending coefficients S(n, 0), ..., S(n, n); the last is S(n, n) = 1."""
     if n < 0:
         raise ValueError("touchard_poly requires n >= 0")
-    return _READS[touchard_poly](n)
+    return _READS["stirling"](n)
 
 
 def fubini_poly(n: int) -> tuple[int, ...]:
     """Ordered-set-partition polynomial: ascending coefficients k! * S(n, k), k = 0..n."""
     if n < 0:
         raise ValueError("fubini_poly requires n >= 0")
-    return tuple(map(mul, _factorials(), _READS[touchard_poly](n)))
+    return tuple(map(mul, _factorials(), _READS["stirling"](n)))
 
 
 def kurepa_poly(n: int) -> tuple[int, ...]:
@@ -250,7 +246,7 @@ def factorial_sum(n: int) -> int:
     """
     if n < 0:
         raise ValueError("factorial_sum requires n >= 0")
-    return _READS[left_factorial](n + 1) if n else 0
+    return _READS["left_factorial"](n + 1) if n else 0
 
 
 def half_left_factorial(n: int) -> int:
@@ -267,35 +263,40 @@ def consecutive_factorial_sum(k: int, n: int) -> int:
     return sum(islice(_factorials(), k, k + n))
 
 
-# point function -> the scan of its family: scan(one) yields the values at
-# n = 0, 1, 2, ... without end, exact in one's number type (1, or Decimal(1)
-# under EXACT). Values below the family's first index are the scan's own.
-# efactor adds the e-scaled families, which wrap the Bell scan.
-SCANS = {
-    factorial: _factorials,
-    left_factorial: _left_factorials,
-    wagstaff: lambda one=1: _left_factorials(one, -1),
-    alt_left_factorial: lambda one=1: accumulate(map(mul, _factorials(one), cycle((1, -1))), initial=one - 1),
-    guy_alternating: lambda one=1: accumulate(islice(_factorials(one), 1, None), _guy_step, initial=one - 1),
-    # r_n = !(n+1) / 2, halving a nonnegative value, so // is the floor; !1 // 2 = 0 = r_0
-    half_left_factorial: lambda one=1: (v // 2 for v in islice(_left_factorials(one), 1, None)),
-    derangement: lambda one=1: accumulate(count(1), _derangement_step, initial=one),
-    bell: lambda one=1: (_bell(n, one) for n in count()),
+# seq name -> the family's point function, its first index, and its scan:
+# scan(one) yields the values at n = 0, 1, 2, ... without end, exact in
+# one's number type (1, or Decimal(1) under EXACT). Values below the first
+# index are the scan's own. efactor declares the e-scaled families.
+Family = namedtuple("Family", "read first scan")
+
+FAMILIES = {
+    "factorial": Family(factorial, 0, _factorials),
+    "left_factorial": Family(left_factorial, 1, _left_factorials),
+    "alt_left": Family(
+        alt_left_factorial, 0, lambda one=1: accumulate(map(mul, _factorials(one), cycle((1, -1))), initial=one - 1)
+    ),
+    "guy_alt": Family(
+        guy_alternating, 0, lambda one=1: accumulate(islice(_factorials(one), 1, None), _guy_step, initial=one - 1)
+    ),
+    "wagstaff": Family(wagstaff, 1, lambda one=1: _left_factorials(one, -1)),
+    "bell": Family(bell, 0, lambda one=1: (_bell(n, one) for n in count())),
     # ints whatever one is: see the module docstring
-    complementary_bell: lambda one=1: (row[0] for row in _aitken([1], -1)),
-    # rows S(n, 0..n) as tuples of ints; no seq column reads them
-    touchard_poly: lambda one=1: accumulate(count(1), _stirling_step, initial=(1,)),
+    "invbell": Family(complementary_bell, 0, lambda one=1: (row[0] for row in _aitken([1], -1))),
+    "derangement": Family(derangement, 0, lambda one=1: accumulate(count(1), _derangement_step, initial=one)),
+    # r_n = !(n+1) / 2, halving a nonnegative value, so // is the floor; !1 // 2 = 0 = r_0
+    "r": Family(half_left_factorial, 0, lambda one=1: (v // 2 for v in islice(_left_factorials(one), 1, None))),
 }
 
-# the point functions' rolling reads; wagstaff, factorial_sum and r read the
-# left factorials', stirling2 and fubini_poly the Stirling rows
+# the point functions' rolling reads, by family; wagstaff, factorial_sum and
+# r read the left factorials', touchard_poly and fubini_poly the Stirling
+# rows S(n, 0..n), tuples of ints that no seq column reads
 _READS = {
-    func: _Rolling(SCANS[func])
-    for func in (left_factorial, alt_left_factorial, guy_alternating, derangement, complementary_bell, touchard_poly)
+    name: _Rolling(FAMILIES[name].scan) for name in ("left_factorial", "alt_left", "guy_alt", "derangement", "invbell")
 }
+_READS["stirling"] = _Rolling(lambda: accumulate(count(1), _stirling_step, initial=(1,)))
 
 
-def column(func, lo: int, hi: int, one: int | Decimal = 1) -> list:
-    """func(n) for n = lo..hi from its family's scan, in one's number type, computed under EXACT."""
+def column(scan, lo: int, hi: int, one: int | Decimal = 1) -> list:
+    """The values of `scan` at n = lo..hi, in one's number type, computed under EXACT."""
     with localcontext(EXACT):
-        return list(islice(SCANS[func](one), lo, hi + 1))
+        return list(islice(scan(one), lo, hi + 1))

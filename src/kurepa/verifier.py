@@ -298,14 +298,11 @@ def load_checkpoint(path: str) -> SearchCheckpoint:
 
 
 def save_checkpoint(ck: SearchCheckpoint, path: str) -> None:
-    """Write atomically: temp file in the same directory, then replace."""
-    # only a run with a checkpoint pays for this import, which loads random and shutil
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".checkpoint-", suffix=".tmp")
+    """Write path + ".tmp", then replace path with it. A kill leaves at most
+    that file, which the next save overwrites; the mode follows the umask."""
+    tmp = path + ".tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(ck.to_json())
         os.replace(tmp, path)
     except BaseException:

@@ -23,7 +23,7 @@ from kurepa import cli
 from kurepa.cli import main, render_csv
 from kurepa.efactor import EScaled
 from kurepa import sequences
-from kurepa.sequences import SCANS, bell, column
+from kurepa.sequences import FAMILIES, bell, column
 import oracles
 from conftest import fresh_python
 
@@ -42,7 +42,7 @@ def run(capsys, *argv):
 
 def patch_scan(monkeypatch, name, value):
     """Make `seq name` print value(n) at each n, in every format, through its scan."""
-    monkeypatch.setitem(SCANS, cli.SEQUENCES[name][0], lambda one=1: map(value, count()))
+    monkeypatch.setitem(cli.SEQUENCES, name, cli.SEQUENCES[name]._replace(scan=lambda one=1: map(value, count())))
 
 
 def test_seq_bell_plain(capsys):
@@ -301,7 +301,7 @@ def oracle() -> dict[str, list]:
 @given(st.data())
 def test_decimal_columns_print_the_int_point_values(data):
     name = data.draw(st.sampled_from(SCANNED_FAMILIES))
-    func, min_n = cli.SEQUENCES[name]
+    func, min_n, _ = cli.SEQUENCES[name]
     lo = data.draw(st.integers(min_value=min_n, max_value=ORACLE_MAX))
     hi = data.draw(st.integers(min_value=lo, max_value=ORACLE_MAX))
     ns = range(lo, hi + 1)
@@ -327,13 +327,33 @@ def test_decimal_columns_print_the_int_point_values(data):
 
 def test_every_seq_family_is_a_scan_of_its_point_values():
     # seq reads every family through its scan, in the format's number type;
-    # invbell's scan yields ints in both, so csv and plain print no -0
-    for name, (func, min_n) in cli.SEQUENCES.items():
-        assert func in SCANS, name
+    # invbell's scan yields ints in both, so csv and plain print no -0. The
+    # first index is the point function's: one below it is refused
+    for name, (func, min_n, scan) in cli.SEQUENCES.items():
         points = [func(n) for n in range(min_n, 81)]
-        assert column(func, min_n, 80) == points, name
-        assert column(func, min_n, 80, Decimal(1)) == points, name
-    assert all(type(v) is int for v in column(sequences.complementary_bell, 0, 80, Decimal(1)))
+        assert column(scan, min_n, 80) == points, name
+        assert column(scan, min_n, 80, Decimal(1)) == points, name
+        with pytest.raises(ValueError):
+            func(min_n - 1)
+    assert all(type(v) is int for v in column(FAMILIES["invbell"].scan, 0, 80, Decimal(1)))
+
+
+def test_one_family_table_whatever_is_imported():
+    # efactor and cli read sequences.FAMILIES and write nothing into it
+    proc = python(
+        "from kurepa import sequences\n"
+        "print(*sequences.FAMILIES)\n"
+        "import kurepa.efactor, kurepa.cli\n"
+        "print(*sequences.FAMILIES)\n"
+        "print(*sorted(kurepa.cli.SEQUENCES))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    families = "factorial left_factorial alt_left guy_alt wagstaff bell invbell derangement r"
+    assert proc.stdout.splitlines() == [
+        families,
+        families,
+        "alt_left bell derangement dobinski factorial fermi guy_alt invbell left_factorial r wagstaff",
+    ]
 
 
 def test_point_reads_interleave_families():
@@ -612,16 +632,19 @@ def test_oracles_load_no_kurepa_module():
     assert proc.stdout == "\n"
 
 
-def test_verify_without_checkpoint_does_not_load_tempfile():
-    # -S skips site, whose .pth files may load tempfile on their own
+def test_verify_without_checkpoint_does_not_load_tempfile(tmp_path):
+    # -S skips site, whose .pth files may load tempfile on their own; a
+    # checkpointed run names its temporary file itself, so it loads none either
     proc = python(
         "import contextlib, io, sys\n"
         "import kurepa.verifier\n"
         "from kurepa.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['verify', '3', '3000'])\n"
-        "assert code == 0, code\n"
-        "assert 'tempfile' not in sys.modules\n",
+        "for extra in ([], ['--checkpoint', sys.argv[1]]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(['verify', '3', '3000', *extra])\n"
+        "    assert code == 0, code\n"
+        "    assert 'tempfile' not in sys.modules, extra\n",
+        str(tmp_path / "cp.json"),
         flags=("-S",),
     )
     assert proc.returncode == 0, proc.stderr

@@ -259,6 +259,38 @@ def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
         assert fh.read() == before
 
 
+def test_save_killed_before_its_replace_leaves_nothing_after_the_resume(tmp_path):
+    # run_search saves at its start and once more at its end; the second
+    # os.replace kills its own process, as a kill -9 between the write and
+    # the replace would, leaving the written temporary file behind
+    cp = tmp_path / "cp.json"
+    killed = fresh_python(
+        "-c",
+        "import os, signal, sys\n"
+        "from kurepa.verifier import run_search\n"
+        "replace, calls = os.replace, []\n"
+        "def kill_on_second(src, dst):\n"
+        "    calls.append(src)\n"
+        "    if len(calls) == 2:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    replace(src, dst)\n"
+        "os.replace = kill_on_second\n"
+        "run_search(3, 60000, checkpoint_path=sys.argv[1])\n",
+        str(cp),
+        capture_output=True,
+        text=True,
+    )
+    assert killed.returncode == -signal.SIGKILL, killed.stderr
+    assert sorted(os.listdir(tmp_path)) == ["cp.json", "cp.json.tmp"]
+    resumed = fresh_python(
+        "-m", "kurepa", "verify", "3", "60000", "--checkpoint", str(cp), capture_output=True, text=True
+    )
+    assert resumed.returncode == 0, resumed.stderr
+    assert resumed.stdout == canonical_report(run_search(3, 60000)) + "\n"
+    # the resumed run's saves wrote over the leftover and replaced the checkpoint with it
+    assert os.listdir(tmp_path) == ["cp.json"]
+
+
 # counterexamples that no run can have written, and a wall_seconds that
 # to_json could not write back as JSON
 IMPOSSIBLE = [
