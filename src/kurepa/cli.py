@@ -23,8 +23,10 @@ cannot be printed exits 2 with the interpreter's message, without writing
 a byte or creating the --out file.
 
 Exit codes: 0 success, 10 counterexample found, 2 usage, 3 I/O, 130 Ctrl-C
-(SIGINT), 143 SIGTERM during `verify`. Either signal saves the committed
-prefix of a `verify` run with --checkpoint before the exit.
+(SIGINT), 141 stdout closed by its reader (a broken pipe, as in `| head`;
+nothing is printed to stderr), 143 SIGTERM during `verify`. Either signal
+saves the committed prefix of a `verify` run with --checkpoint before the
+exit.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 10
 EXIT_USAGE = 2
 EXIT_IO = 3
-# the shell's codes for a process ended by SIGINT (128 + 2) and SIGTERM (128 + 15)
+# the shell's codes for a process ended by SIGINT (128 + 2), SIGPIPE (128 + 13)
+# and SIGTERM (128 + 15)
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141
 EXIT_TERMINATED = 143
 
 MAX_N_ENV = "KUREPA_MAX_N"
@@ -55,8 +59,9 @@ ORDERING_MAX_N = 8
 # seconds at 5000 and over a minute at 50000
 MAX_DIGITS = 1000
 
-# seq name -> Family(read, first, scan): the point function, the smallest
-# valid index and the scan that prints the column
+# seq name -> Family(read, first, scan): the point read, the smallest valid
+# index and the scan that prints the column. A read is its row's rolling
+# read, checked against first, except factorial's and bell's, which jump
 SEQUENCES = {**FAMILIES, **SCALED_FAMILIES}
 
 
@@ -459,6 +464,8 @@ def _lines(args, table: Table) -> Iterator[str]:
 def _write(args, lines: Iterator[str]) -> None:
     if args.out is None:
         sys.stdout.writelines(lines)
+        # a reader that stopped early fails this flush, not the one at exit
+        sys.stdout.flush()
         return
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(lines)
@@ -478,6 +485,13 @@ def main(argv=None) -> int:
         print(f"kurepa: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and args.out is None:
+            # the reader stopped: nothing to report, and stdout goes to
+            # devnull so that the interpreter's final flush stays silent
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_BROKEN_PIPE
         print(f"kurepa: {exc}", file=sys.stderr)
         return EXIT_IO
     except (KeyboardInterrupt, Terminated) as exc:

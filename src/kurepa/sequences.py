@@ -9,13 +9,15 @@ alternating sums, r_n = !(n+1) / 2 and the derangements D_n), the
 complementary Bell numbers and the Stirling rows are each defined once, as
 a scan that carries only the running values the family reads, whose start
 value, 1 or Decimal(1), sets the number type. `FAMILIES` maps a `seq` name
-to its family's point function, first index and scan; the Stirling rows,
-which no `seq` column prints, have only a rolling read. A scan is read
-three ways: `column` takes a whole column n = lo..hi; each point function
-reads one rolling copy of its family's scan, so reads in increasing n cost
+to its family's point read, first index and scan, and each public point
+function is its row's read. A scan is read three ways: `column` takes a
+whole column n = lo..hi; a row's read is a rolling copy of the row's own
+scan, checked against the row's first index, so reads in increasing n cost
 one step each and a lower n starts the scan again; and `gcdlab`, `decomp`
-and the polynomials here walk a fresh scan. `factorial` itself is
-math.factorial.
+and the polynomials here walk a fresh scan. Two reads jump instead:
+`factorial` is math.factorial, and `bell` reads its memo. The Stirling
+rows, which no `seq` column prints, have only the rolling read
+`touchard_poly`.
 
 The Bell and complementary Bell numbers are read from Aitken's array for
 a_(n+1) = sign * sum_k C(n, k) a_k, with sign +1 and -1. The Bell numbers
@@ -28,7 +30,7 @@ twice, in its greedy and then for its value column; and in one process
 bell_mod builds its own rows mod p and shares no code with them. No read
 is locked: nothing reads them concurrently.
 
-Every point function in `FAMILIES` returns an int; `efactor` declares the
+Every point read in `FAMILIES` returns an int; `efactor` declares the
 Dobinski and Fermi families in a table of its own, whose scans wrap the
 Bell scan in e^s. `seq` prints, in every format, a column of exact
 `Decimal` integers, computed under the `EXACT` context (no bound on digits
@@ -81,13 +83,6 @@ EXACT = Context(
 )
 
 
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError("factorial is undefined for negative n")
-    return math.factorial(n)
-
-
 def _factorials(one=1):
     """0!, 1!, 2!, ...: one multiply per step."""
     return accumulate(count(1), mul, initial=one)
@@ -114,56 +109,25 @@ def _stirling_step(row: tuple, m: int) -> tuple:
 
 
 class _Rolling:
-    """Point reads of one scan: a read at or above the last steps the live
-    scan on, one step per index, and a read below it starts the scan again."""
+    """The checked point read `name` of one scan: a read below `first`
+    raises, a read at or above the last steps the live scan on, one step per
+    index, and a read below the last starts the scan again."""
 
-    __slots__ = ("scan", "n", "value", "rest")
+    __slots__ = ("__name__", "first", "scan", "n", "value", "rest")
 
-    def __init__(self, scan) -> None:
-        self.scan, self.n, self.rest = scan, -1, scan()
+    def __init__(self, name: str, first: int, scan) -> None:
+        self.__name__, self.first, self.scan = name, first, scan
+        self.n, self.rest = -1, scan()
 
     def __call__(self, n: int):
+        if n < self.first:
+            raise ValueError(f"{self.__name__} requires n >= {self.first}")
         if n < self.n:
             self.n, self.rest = -1, self.scan()
         if n > self.n:
             self.value = next(islice(self.rest, n - self.n - 1, None))
             self.n = n
         return self.value
-
-
-def left_factorial(n: int) -> int:
-    """!n = 0! + 1! + ... + (n-1)! for n >= 1.
-
-    The value at n = 0 (the empty sum) is deliberately rejected: the
-    sequence is published starting at !1 = 1 and downstream consumers
-    rely on that convention.
-    """
-    if n < 1:
-        raise ValueError("left_factorial requires n >= 1")
-    return _READS["left_factorial"](n)
-
-
-def alt_left_factorial(n: int) -> int:
-    """Alternating variant: sum of (-1)^m * m! over 0 <= m < n, with value 0 at n = 0."""
-    if n < 0:
-        raise ValueError("alt_left_factorial requires n >= 0")
-    return _READS["alt_left"](n)
-
-
-def guy_alternating(n: int) -> int:
-    """Sum of (-1)^(n-m) * m! over 1 <= m <= n; empty sum is 0.
-
-    Signs are anchored at the top so the m = n term is always +n!, and
-    G_n = n! - G_(n-1).
-    """
-    if n < 0:
-        raise ValueError("guy_alternating requires n >= 0")
-    return _READS["guy_alt"](n)
-
-
-def wagstaff(n: int) -> int:
-    """!n - 1 for n >= 1."""
-    return left_factorial(n) - 1
 
 
 def _aitken(row: list, sign: int) -> Iterator[list]:
@@ -199,36 +163,73 @@ def bell(n: int) -> int:
     return _bell(n)
 
 
-def complementary_bell(n: int) -> int:
-    """Complementary Bell number, the alternating Stirling row sum: sum of (-1)^k S(n, k).
-
-    It is a_n of the signed Bell triangle, a_(n+1) = -sum_k C(n, k) a_k
-    (Uppuluri and Carpenter), so no Stirling row is built.
-    """
-    if n < 0:
-        raise ValueError("complementary_bell requires n >= 0")
-    return _READS["invbell"](n)
+# seq name -> the family's point read, its first index, and its scan:
+# scan(one) yields the values at n = 0, 1, 2, ... without end, exact in
+# one's number type (1, or Decimal(1) under EXACT). Values below the first
+# index are the scan's own. Each read is the rolling read of its row's scan,
+# named after its public function, except factorial's and bell's, which
+# jump. efactor declares the e-scaled families.
+Family = namedtuple("Family", "read first scan")
 
 
-def derangement(n: int) -> int:
-    """Derangement count via D_n = n * D_{n-1} + (-1)^n, D_0 = 1."""
-    if n < 0:
-        raise ValueError("derangement requires n >= 0")
-    return _READS["derangement"](n)
+def _rolling(name: str, first: int, scan) -> Family:
+    """The row whose read is the rolling read `name` of scan, checked against first."""
+    return Family(_Rolling(name, first, scan), first, scan)
 
 
-def touchard_poly(n: int) -> tuple[int, ...]:
-    """Ascending coefficients S(n, 0), ..., S(n, n); the last is S(n, n) = 1."""
-    if n < 0:
-        raise ValueError("touchard_poly requires n >= 0")
-    return _READS["stirling"](n)
+FAMILIES = {
+    "factorial": Family(math.factorial, 0, _factorials),
+    # !n = 0! + 1! + ... + (n-1)!; the empty sum !0 is rejected, as the
+    # sequence is published from !1 = 1 and downstream consumers rely on it
+    "left_factorial": _rolling("left_factorial", 1, _left_factorials),
+    # sum of (-1)^m * m! over 0 <= m < n, with value 0 at n = 0
+    "alt_left": _rolling(
+        "alt_left_factorial", 0,
+        lambda one=1: accumulate(map(mul, _factorials(one), cycle((1, -1))), initial=one - 1),
+    ),
+    # sum of (-1)^(n-m) * m! over 1 <= m <= n, empty sum 0: the signs are
+    # anchored at the top, so the m = n term is always +n!
+    "guy_alt": _rolling(
+        "guy_alternating", 0,
+        lambda one=1: accumulate(islice(_factorials(one), 1, None), _guy_step, initial=one - 1),
+    ),
+    # !n - 1
+    "wagstaff": _rolling("wagstaff", 1, lambda one=1: _left_factorials(one, -1)),
+    "bell": Family(bell, 0, lambda one=1: (_bell(n, one) for n in count())),
+    # the complementary Bell numbers, alternating Stirling row sums
+    # sum_k (-1)^k S(n, k): a_n of the signed Bell triangle,
+    # a_(n+1) = -sum_k C(n, k) a_k (Uppuluri and Carpenter), so no Stirling
+    # row is built; ints whatever one is: see the module docstring
+    "invbell": _rolling("complementary_bell", 0, lambda one=1: (row[0] for row in _aitken([1], -1))),
+    # D_0 = 1
+    "derangement": _rolling(
+        "derangement", 0, lambda one=1: accumulate(count(1), _derangement_step, initial=one)
+    ),
+    # r_n = !(n+1) / 2, exact since !(n+1) = 2 + sum_{2<=k<=n} k! is even; it
+    # halves a nonnegative value, so // is the floor, and !1 // 2 = 0 = r_0
+    "r": _rolling(
+        "half_left_factorial", 0, lambda one=1: (v // 2 for v in islice(_left_factorials(one), 1, None))
+    ),
+}
+
+factorial = FAMILIES["factorial"].read
+left_factorial = FAMILIES["left_factorial"].read
+alt_left_factorial = FAMILIES["alt_left"].read
+guy_alternating = FAMILIES["guy_alt"].read
+wagstaff = FAMILIES["wagstaff"].read
+complementary_bell = FAMILIES["invbell"].read
+derangement = FAMILIES["derangement"].read
+half_left_factorial = FAMILIES["r"].read
+# ascending coefficients S(n, 0), ..., S(n, n) of the Touchard polynomial;
+# the last is S(n, n) = 1. Tuples of ints, which no seq column reads
+touchard_poly = _Rolling("touchard_poly", 0, lambda: accumulate(count(1), _stirling_step, initial=(1,)))
 
 
 def fubini_poly(n: int) -> tuple[int, ...]:
     """Ordered-set-partition polynomial: ascending coefficients k! * S(n, k), k = 0..n."""
     if n < 0:
         raise ValueError("fubini_poly requires n >= 0")
-    return tuple(map(mul, _factorials(), _READS["stirling"](n)))
+    return tuple(map(mul, _factorials(), touchard_poly(n)))
 
 
 def kurepa_poly(n: int) -> tuple[int, ...]:
@@ -246,14 +247,7 @@ def factorial_sum(n: int) -> int:
     """
     if n < 0:
         raise ValueError("factorial_sum requires n >= 0")
-    return _READS["left_factorial"](n + 1) if n else 0
-
-
-def half_left_factorial(n: int) -> int:
-    """r_n = factorial_sum(n) / 2, exact since !(n+1) = 2 + sum_{2<=k<=n} k! is even; r_0 = 0."""
-    if n < 0:
-        raise ValueError("half_left_factorial requires n >= 0")
-    return factorial_sum(n) // 2
+    return left_factorial(n + 1) if n else 0
 
 
 def consecutive_factorial_sum(k: int, n: int) -> int:
@@ -261,39 +255,6 @@ def consecutive_factorial_sum(k: int, n: int) -> int:
     if k < 0 or n < 1:
         raise ValueError("consecutive_factorial_sum requires k >= 0 and n >= 1")
     return sum(islice(_factorials(), k, k + n))
-
-
-# seq name -> the family's point function, its first index, and its scan:
-# scan(one) yields the values at n = 0, 1, 2, ... without end, exact in
-# one's number type (1, or Decimal(1) under EXACT). Values below the first
-# index are the scan's own. efactor declares the e-scaled families.
-Family = namedtuple("Family", "read first scan")
-
-FAMILIES = {
-    "factorial": Family(factorial, 0, _factorials),
-    "left_factorial": Family(left_factorial, 1, _left_factorials),
-    "alt_left": Family(
-        alt_left_factorial, 0, lambda one=1: accumulate(map(mul, _factorials(one), cycle((1, -1))), initial=one - 1)
-    ),
-    "guy_alt": Family(
-        guy_alternating, 0, lambda one=1: accumulate(islice(_factorials(one), 1, None), _guy_step, initial=one - 1)
-    ),
-    "wagstaff": Family(wagstaff, 1, lambda one=1: _left_factorials(one, -1)),
-    "bell": Family(bell, 0, lambda one=1: (_bell(n, one) for n in count())),
-    # ints whatever one is: see the module docstring
-    "invbell": Family(complementary_bell, 0, lambda one=1: (row[0] for row in _aitken([1], -1))),
-    "derangement": Family(derangement, 0, lambda one=1: accumulate(count(1), _derangement_step, initial=one)),
-    # r_n = !(n+1) / 2, halving a nonnegative value, so // is the floor; !1 // 2 = 0 = r_0
-    "r": Family(half_left_factorial, 0, lambda one=1: (v // 2 for v in islice(_left_factorials(one), 1, None))),
-}
-
-# the point functions' rolling reads, by family; wagstaff, factorial_sum and
-# r read the left factorials', touchard_poly and fubini_poly the Stirling
-# rows S(n, 0..n), tuples of ints that no seq column reads
-_READS = {
-    name: _Rolling(FAMILIES[name].scan) for name in ("left_factorial", "alt_left", "guy_alt", "derangement", "invbell")
-}
-_READS["stirling"] = _Rolling(lambda: accumulate(count(1), _stirling_step, initial=(1,)))
 
 
 def column(scan, lo: int, hi: int, one: int | Decimal = 1) -> list:

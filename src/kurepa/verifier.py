@@ -299,11 +299,15 @@ def load_checkpoint(path: str) -> SearchCheckpoint:
 
 def save_checkpoint(ck: SearchCheckpoint, path: str) -> None:
     """Write path + ".tmp", then replace path with it. A kill leaves at most
-    that file, which the next save overwrites; the mode follows the umask."""
+    that file, which the next save overwrites; the mode follows the umask.
+    The file is synced before the replace and its directory after it, so a
+    crash of the machine leaves the old checkpoint or the new one, whole."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(ck.to_json())
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -311,6 +315,11 @@ def save_checkpoint(ck: SearchCheckpoint, path: str) -> None:
         except OSError:
             pass
         raise
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def canonical_report(ck: SearchCheckpoint) -> str:

@@ -501,6 +501,17 @@ def test_out_to_missing_directory_exits_3(capsys):
     assert err != ""
 
 
+def test_reader_closing_stdout_exits_141_silently():
+    # the table is far larger than a pipe's buffer, so a write fails once the reader is gone
+    with fresh_python(
+        "-m", "kurepa", "seq", "bell", "0", "1500", start=subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.readline() == b"1\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+
+
 def test_verify_plain_is_canonical_report(capsys):
     from kurepa.verifier import canonical_report, run_search
 

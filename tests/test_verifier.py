@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import random
 import signal
+import stat
 import subprocess
 import time
 from itertools import islice
@@ -162,6 +163,29 @@ def test_advance_either_side_of_the_route_threshold(bits, shape):
         assert verifier._advance(0, start, end, modulus) == walk(0, start, end) % modulus
 
 
+def test_advance_when_barrett_falls_two_moduli_short():
+    # A modulus of k = 8001 bits with bits 7993..7999 clear sits well above
+    # 2**(k-1), so inv = 2**(2k) // modulus drops a large fractional part,
+    # and for some d just below the modulus the estimate of one chunk falls
+    # two moduli short: the correction must subtract twice. (A modulus of
+    # 2**(k-1) + small leaves inv almost no fraction to drop.)
+    rng = random.Random(0)
+    k = 8001
+    modulus = (1 << (k - 1)) | rng.getrandbits(k - 8) | 1
+    end = 2**20 - 1
+    m = end - k // end.bit_length()  # one chunk
+    a, b = verifier._run(m, end)
+    inv = (1 << 2 * k) // modulus
+    for _ in range(1000):
+        d = modulus - 1 - rng.getrandbits(k - 11)
+        x = d * a + b + modulus
+        if x - ((x >> (k - 1)) * inv >> (k + 1)) * modulus >= 2 * modulus:
+            break
+    else:
+        pytest.fail("no seeded d puts the estimate two moduli short")
+    assert verifier._advance(d, m, end, modulus) == walk(d, m, end) % modulus
+
+
 def test_block_residues_narrow_window_far_out():
     primes = [p for p in ORACLE if 100_000 <= p < 100_300]
     assert block_residues(primes) == [left_factorial_mod(p) for p in primes]
@@ -257,6 +281,31 @@ def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["cp.json"]
     with open(path, "rb") as fh:
         assert fh.read() == before
+
+
+def test_checkpoint_save_syncs_the_file_then_replaces_then_syncs_the_directory(tmp_path, monkeypatch):
+    ck = checkpoint_from_json(json.dumps(valid_payload()))
+    path = str(tmp_path / "cp.json")
+    fsync, replace, events = os.fsync, os.replace, []
+
+    def record_fsync(fd):
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):
+            events.append(("fsync dir", st.st_ino == os.stat(tmp_path).st_ino))
+        else:
+            # the whole text is in the file when it is synced
+            events.append(("fsync file", st.st_size == len(ck.to_json().encode())))
+        fsync(fd)
+
+    def record_replace(src, dst):
+        events.append(("replace", (src, dst) == (path + ".tmp", path)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    monkeypatch.setattr(os, "replace", record_replace)
+    save_checkpoint(ck, path)
+    assert events == [("fsync file", True), ("replace", True), ("fsync dir", True)]
+    assert load_checkpoint(path) == ck
 
 
 def test_save_killed_before_its_replace_leaves_nothing_after_the_resume(tmp_path):
