@@ -60,8 +60,8 @@ ORDERING_MAX_N = 8
 MAX_DIGITS = 1000
 
 # seq name -> Family(read, first, scan): the point read, the smallest valid
-# index and the scan that prints the column. A read is its row's rolling
-# read, checked against first, except factorial's and bell's, which jump
+# index and the scan that prints the column. A read is its row's memo read,
+# checked against first, except factorial's, which is math.factorial
 SEQUENCES = {**FAMILIES, **SCALED_FAMILIES}
 
 

@@ -42,8 +42,9 @@ def greedy_bell_decomposition(target: int | Decimal) -> tuple[tuple[int, int | D
     numbers Bell_m..Bell_1 up to the target finds every term.
 
     The target's number type is the Bell scan's: an int target gives int
-    coefficients, and a Decimal integer target reads the Decimal Bell memo
-    and gives Decimal coefficients, computed under the exact context.
+    coefficients, and a Decimal integer target gives Decimal ones, computed
+    under the exact context, extending the Decimal Bell memo that a `seq
+    bell` column in the same process built.
     """
     if target < 0:
         raise ValueError("greedy decomposition requires a nonnegative target")

@@ -357,8 +357,8 @@ def test_one_family_table_whatever_is_imported():
 
 
 def test_point_reads_interleave_families():
-    # each family rolls its own scan, so a read of one never moves another's,
-    # and a read below a family's last one starts that family again
+    # each family keeps its own memo, so a read of one never moves another's,
+    # and a read below a family's last one indexes that family's values
     reads = [
         (sequences.left_factorial, 300, "left_factorial", 300),
         (sequences.derangement, 5, "derangement", 5),
@@ -376,6 +376,19 @@ def test_point_reads_interleave_families():
     ]
     for func, n, name, at in reads:
         assert func(n) == oracle()[name][at], (func.__name__, n)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_point_reads_in_any_order_equal_the_column(data):
+    # the drawn indices, then the same ones in descending order, so every
+    # example reads descending and repeated indices too
+    name = data.draw(st.sampled_from(SCANNED_FAMILIES))
+    read, first, scan = cli.SEQUENCES[name]
+    ns = data.draw(st.lists(st.integers(min_value=first, max_value=200), min_size=1, max_size=12))
+    ns += sorted(ns, reverse=True)
+    values = column(scan, first, max(ns))
+    assert [read(n) for n in ns] == [values[n - first] for n in ns], (name, ns)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv"])
@@ -738,10 +751,10 @@ def test_growth_rows_build_no_big_bell_number(argv):
         "import contextlib, io, sys\n"
         "from decimal import Decimal\n"
         "from kurepa.cli import main\n"
-        "from kurepa.sequences import _bell_memo\n"
+        "from kurepa.sequences import _BELLS\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(code, *(len(_bell_memo[kind][0]) for kind in (int, Decimal)))\n",
+        "print(code, *(len(_BELLS[kind].values) for kind in (int, Decimal)))\n",
         *argv,
     )
     assert proc.returncode == 0, proc.stderr

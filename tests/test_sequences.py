@@ -1,6 +1,7 @@
 """Unit tests for the exact integer sequences."""
 
 import math
+import pydoc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -146,7 +147,7 @@ def test_stirling_recurrence(n, k):
 
 
 def test_stirling_row_after_a_higher_row():
-    # the rolling row is at 40 here; asking for row 5 rebuilds from row 0
+    # the Stirling memo holds rows 0..40 here; row 5 is read from it
     assert touchard_poly(40)[1] == 1
     assert touchard_poly(5) == (0, 1, 15, 25, 10, 1)
     assert touchard_poly(4) == (0, 1, 7, 6, 1)
@@ -154,11 +155,22 @@ def test_stirling_row_after_a_higher_row():
 
 
 def test_factorial_family_after_a_higher_index():
-    # the point functions roll one state forward; asking for a lower n restarts from 0
+    # the point functions keep every value found; a lower n is read from the memo
     assert left_factorial(60) == sum(math.factorial(m) for m in range(60))
     assert derangement(61) == 61 * derangement(60) - 1
     assert [left_factorial(n) for n in (8, 3, 1)] == [5914, 4, 1]
     assert [guy_alternating(n) for n in (8, 2, 5)] == [35899, 1, 101]
+
+
+def test_point_reads_carry_their_family_definitions():
+    # help() shows a read's own __doc__, the definition in its FAMILIES row
+    import kurepa
+
+    assert kurepa.left_factorial.__doc__.startswith("Left factorial !n = 0! + ... + (n-1)!")
+    assert kurepa.complementary_bell.__doc__.startswith("Complementary Bell number")
+    assert "(n-1)!" in pydoc.render_doc(kurepa.left_factorial, renderer=pydoc.plaintext)
+    for read in (*(row.read for row in FAMILIES.values()), touchard_poly):
+        assert read.__doc__ and read.__doc__ != type(read).__doc__, read.__name__
 
 
 def test_complementary_bell_memory_is_quadratic():
