@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from itertools import islice, takewhile
 
 from .efactor import GUARD_DIGITS, format_significant
-from .sequences import EXACT, FAMILIES, bell, complementary_bell, left_factorial
+from .sequences import EXACT, FAMILIES, bell, complementary_bell
 
 # basis name -> the integer coefficient of its element k; the dobinski basis
 # is the Bell basis on the e scale, Bell_k e = sum_j j^k/j!
@@ -81,9 +81,14 @@ def log_left_factorial(n: int, base="e", digits: int = 15) -> str:
     base = str(base)
     if base not in ("e", "2", "10"):
         raise ValueError("base must be e, 2 or 10")
+    if n < 1:
+        raise ValueError("log_left_factorial requires n >= 1")
+    # a fresh scan holds one value, where the left_factorial memo would keep
+    # all n of them (about 2 GB at n = 50000) for the rest of the process
+    left = next(islice(FAMILIES["left_factorial"].scan(), n, None))
     with localcontext() as ctx:
         ctx.prec = digits + GUARD_DIGITS
-        ln = Decimal(left_factorial(n)).ln()
+        ln = Decimal(left).ln()
         if base != "e":
             ln /= Decimal(int(base)).ln()
         return format_significant(ln, digits)

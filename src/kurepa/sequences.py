@@ -11,16 +11,14 @@ only the running values the family reads, whose start value, 1 or
 Decimal(1), sets the number type. `FAMILIES` maps a `seq` name to its
 family's point read, first index and scan. `column` reads a whole column
 of a scan, and `gcdlab`, `decomp` and the polynomials here walk a fresh
-one. Every point read but `factorial`, which is math.factorial, is a
-`_Memo` of its row's scan, and so is `touchard_poly`, the read of the
-Stirling rows, which no `seq` column prints.
+one. Every point read but `factorial` (math.factorial) is a `_Memo` of its
+row's scan, as is `touchard_poly`, the read of the Stirling rows.
 
 The Bell and complementary Bell numbers are a_n of Aitken's array for
 a_(n+1) = sign * sum_k C(n, k) a_k, with sign +1 and -1. The Bell scan
-reads the Bell memo of its number type, so in one process `decomp`
-extends the Decimal triangle that a `seq bell` column built (a 3000-digit
-target needs it to about index 1580). The verifier's bell_mod builds its
-own rows mod p and shares no code with them.
+reads the Bell memo of its number type, so `decomp` extends the Decimal
+triangle that a `seq bell` column built in the same process. The
+verifier's bell_mod builds its own rows mod p.
 
 `seq` prints, in every format, a column of exact `Decimal` integers,
 computed under the `EXACT` context (no bound on digits or exponent; any
@@ -91,27 +89,33 @@ def _stirling_step(row: tuple, m: int) -> tuple:
 class _Memo:
     """A checked point read of scan(one) that keeps every value it found.
 
-    A read below `first` raises, a read past the last value found steps the
-    live scan on to it under EXACT, and any other read indexes the values,
-    so no read restarts the scan. The values up to n take O(n^2 log n) bits
-    for the factorial and Bell families and O(n^3 log n) for the Stirling
-    rows, which the package reads at n <= 8 (the tests at n <= 60). No read
-    is locked: nothing reads them concurrently.
+    A read below `first` raises, a read past the last value steps the live
+    scan on under EXACT, and any other read indexes the values. A step that
+    raises leaves the whole values and a fresh scan past them. The values
+    up to n take O(n^2 log n) bits (O(n^3 log n) for the Stirling rows), so
+    a memo serves the report (n <= 21), physics ordering (n <= 8), decomp's
+    Bell numbers (n <= 1980 below 10^4300) and Bell-scan columns, which hold
+    the same values; `log` walks a fresh scan. No read is locked.
     """
 
     def __init__(self, name: str, first: int, scan, doc: str, one=1) -> None:
         self.__name__, self.first, self.__doc__ = name, first, doc
-        self.values, self.rest = [], scan(one)
+        self.scan, self.one, self.values, self.rest = scan, one, [], scan(one)
 
     def __call__(self, n: int):
         if n < self.first:
             raise ValueError(f"{self.__name__} requires n >= {self.first}")
-        values = self.values
-        if n >= len(values):
-            # the scan's additions run under the context current here
-            with localcontext(EXACT):
-                values.extend(islice(self.rest, n + 1 - len(values)))
-        return values[n]
+        if n >= len(self.values):
+            try:
+                # the scan's additions run under the context current here
+                with localcontext(EXACT):
+                    self.values.extend(islice(self.rest, n + 1 - len(self.values)))
+            except BaseException:
+                # the step may have ended the scan (a generator) or spent an
+                # index (accumulate); the values kept are whole
+                self.rest = islice(self.scan(self.one), len(self.values), None)
+                raise
+        return self.values[n]
 
 
 def _aitken(row: list, sign: int) -> Iterator:

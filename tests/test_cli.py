@@ -382,13 +382,16 @@ def test_point_reads_interleave_families():
 @given(st.data())
 def test_point_reads_in_any_order_equal_the_column(data):
     # the drawn indices, then the same ones in descending order, so every
-    # example reads descending and repeated indices too
+    # example reads descending and repeated indices too. The Bell scan, and
+    # so the column of bell, dobinski and fermi, reads the Bell memo under
+    # test, so every read is checked against the oracle as well
     name = data.draw(st.sampled_from(SCANNED_FAMILIES))
     read, first, scan = cli.SEQUENCES[name]
     ns = data.draw(st.lists(st.integers(min_value=first, max_value=200), min_size=1, max_size=12))
     ns += sorted(ns, reverse=True)
     values = column(scan, first, max(ns))
-    assert [read(n) for n in ns] == [values[n - first] for n in ns], (name, ns)
+    got = [read(n) for n in ns]
+    assert got == [values[n - first] for n in ns] == [oracle()[name][n] for n in ns], (name, ns)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv"])

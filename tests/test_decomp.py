@@ -5,6 +5,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fresh_python
 from kurepa.decomp import (
     alt_kurepa_sequence_sum,
     basis_coefficient,
@@ -140,6 +141,29 @@ def test_log_left_factorial():
         log_left_factorial(8, digits=0)
     with pytest.raises(ValueError):
         log_left_factorial(0)
+
+
+def test_log_left_factorial_keeps_one_value():
+    # a fresh scan holds one left factorial: the traced peak is about 22 KB
+    # at n = 5000 and doubles with n, where reading the left_factorial memo
+    # kept every value, 17 MB at 5000 and 75 MB at 10000
+    proc = fresh_python(
+        "-c",
+        "import tracemalloc\n"
+        "from kurepa.decomp import log_left_factorial\n"
+        "tracemalloc.start()\n"
+        "log_left_factorial(5000)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+        "tracemalloc.reset_peak()\n"
+        "log_left_factorial(10000)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n",
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_5000, peak_10000 = map(int, proc.stdout.split())
+    assert peak_5000 < 2**18
+    assert peak_10000 < 3 * peak_5000
 
 
 @given(st.integers(min_value=1, max_value=60))

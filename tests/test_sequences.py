@@ -197,6 +197,45 @@ def test_complementary_bell_memory_is_quadratic():
     assert peak_1600 < 6 * peak_800
 
 
+# a trace function raises KeyboardInterrupt on entry to the 50th step of
+# the memo's scan: a resumed _aitken generator, or derangement's accumulate step
+INTERRUPT_A_STEP = """
+import sys
+from kurepa import sequences
+name, step = sys.argv[1:]
+read, first, scan = sequences.FAMILIES[name]
+steps = 0
+
+def trace(frame, event, arg):
+    global steps
+    code = frame.f_code
+    if code.co_filename == sequences.__file__ and code.co_name == step:
+        steps += 1
+        if steps == 50:
+            raise KeyboardInterrupt
+
+sys.settrace(trace)
+try:
+    read(100)
+except KeyboardInterrupt:
+    pass
+else:
+    raise SystemExit("no step was interrupted")
+finally:
+    sys.settrace(None)
+values = sequences.column(scan, 0, 120)
+ns = (120, 30, 49, 50, 119, 0)
+assert [read(n) for n in ns] == [values[n] for n in ns], name
+"""
+
+
+@pytest.mark.parametrize("name, step", [("invbell", "_aitken"), ("bell", "_aitken"), ("derangement", "<lambda>")])
+def test_memo_recovers_from_an_interrupted_step(name, step):
+    # in a fresh interpreter, so a memo this breaks breaks no other test
+    proc = fresh_python("-c", INTERRUPT_A_STEP, name, step, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_decimal_bell_ignores_the_callers_context():
     # a fresh interpreter, so the Decimal memo is built inside the caller's
     # 5-digit context, which would round every Bell number past B_8. The scan
