@@ -34,7 +34,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 from decimal import Decimal, localcontext
 
 # SEQUENCES holds the families of sequences and efactor; every other layer
@@ -77,21 +78,14 @@ def _terminate(signum, frame):
     raise Terminated
 
 
-class Table:
-    """One subcommand's output: tabular cells plus a plain rendering.
+Table = namedtuple("Table", "command columns rows summary plain exit_code", defaults=(EXIT_OK,))
+Table.__doc__ = """One subcommand's output: tabular cells plus a plain rendering.
 
-    `plain` may be lazy: only the plain format reads it, so values whose text
-    is costly (big ints) are converted once, by whichever renderer runs. The
-    plain lines print only values that the cells hold, so the cells (and,
-    for JSON, the summary) bound every integer that any format prints.
-    """
-
-    __slots__ = ("command", "columns", "rows", "summary", "plain", "exit_code")
-
-    def __init__(self, command: str, columns: list[str], rows: list[list], summary: dict,
-                 plain: Iterable[str], exit_code: int = EXIT_OK) -> None:
-        self.command, self.columns, self.rows, self.summary = command, columns, rows, summary
-        self.plain, self.exit_code = plain, exit_code
+`plain` may be lazy: only the plain format reads it, so values whose text
+is costly (big ints) are converted once, by whichever renderer runs. The
+plain lines print only values that the cells hold, so the cells (and,
+for JSON, the summary) bound every integer that any format prints.
+"""
 
 
 def _csv_lines(columns, rows) -> Iterator[str]:

@@ -39,8 +39,6 @@ DEBRUIJN_SAMPLE_N = (10, 100, 300, 1000)
 
 def falling(m: int, k: int) -> int:
     """m (m-1) ... (m-k+1) for m, k >= 0; zero once k exceeds m."""
-    if m < 0 or k < 0:
-        raise ValueError("falling requires m >= 0 and k >= 0")
     return math.perm(m, k)
 
 

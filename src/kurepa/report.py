@@ -120,8 +120,8 @@ def _cell(value) -> str:
 
 
 def _half(x: int) -> str:
-    """x / 2 as a cell: an integer when x is even, else one decimal place ("0.5")."""
-    return f"{x / 2:.1f}" if x % 2 else str(x // 2)
+    """x / 2 as a cell: an integer when x is even, else the exact half with one decimal place ("0.5")."""
+    return f"{'-' * (x < 0)}{abs(x) // 2}.5" if x % 2 else str(x // 2)
 
 
 def _at(coeffs, x):

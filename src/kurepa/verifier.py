@@ -33,6 +33,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, chain, compress, islice
 from operator import mul
@@ -217,37 +218,23 @@ def block_residues(primes: Sequence[int]) -> list[int]:
     return residues
 
 
-_CHECKPOINT_KEYS = ("lo", "hi", "last_completed", "counterexamples", "histogram", "wall_seconds", "finished", "version")
+class SearchCheckpoint(
+    namedtuple(
+        "SearchCheckpoint",
+        "lo hi last_completed counterexamples histogram wall_seconds finished version",
+        defaults=((), None, 0.0, False, CHECKPOINT_VERSION),
+    )
+):
+    """Resumable search state: primes in [lo, last_completed) are done.
 
+    A record, never changed in place: run_search commits a block, and stamps
+    the wall time, by rebinding to a _replace copy.
+    """
 
-class SearchCheckpoint:
-    """Resumable search state: primes in [lo, last_completed) are done."""
-
-    __slots__ = _CHECKPOINT_KEYS
-
-    def __init__(
-        self,
-        lo: int,
-        hi: int,
-        last_completed: int,
-        counterexamples: list[int] | None = None,
-        histogram: list[int] | None = None,
-        wall_seconds: float = 0.0,
-        finished: bool = False,
-    ) -> None:
-        self.lo, self.hi, self.last_completed = lo, hi, last_completed
-        self.counterexamples = [] if counterexamples is None else counterexamples
-        self.histogram, self.wall_seconds, self.finished = histogram, wall_seconds, finished
-        self.version = CHECKPOINT_VERSION
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SearchCheckpoint):
-            return NotImplemented
-        return all(getattr(self, key) == getattr(other, key) for key in _CHECKPOINT_KEYS)
+    __slots__ = ()
 
     def to_json(self) -> str:
-        payload = {key: getattr(self, key) for key in _CHECKPOINT_KEYS}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(self._asdict(), indent=2, sort_keys=True) + "\n"
 
 
 def _int(value: object, least: int, name: str) -> int:
@@ -266,8 +253,8 @@ def checkpoint_from_json(text: str) -> SearchCheckpoint:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CheckpointFormatError(f"checkpoint is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.keys() != set(_CHECKPOINT_KEYS):
-        raise CheckpointFormatError(f"checkpoint must be a JSON object with the keys {sorted(_CHECKPOINT_KEYS)}")
+    if not isinstance(payload, dict) or payload.keys() != set(SearchCheckpoint._fields):
+        raise CheckpointFormatError(f"checkpoint must be a JSON object with the keys {sorted(SearchCheckpoint._fields)}")
     if _int(payload["version"], 1, "version") != CHECKPOINT_VERSION:
         raise CheckpointFormatError("unsupported checkpoint version")
     lo, hi = _int(payload["lo"], 2, "lo"), _int(payload["hi"], 3, "hi")
@@ -326,7 +313,8 @@ def canonical_report(ck: SearchCheckpoint) -> str:
     """Deterministic summary of a search; wall_seconds is deliberately absent
     so reports from different worker counts or resume patterns compare equal.
     """
-    payload = {key: getattr(ck, key) for key in _CHECKPOINT_KEYS if key != "wall_seconds"}
+    payload = ck._asdict()
+    del payload["wall_seconds"]
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -432,33 +420,29 @@ def run_search(
             lo=lo,
             hi=hi,
             last_completed=lo,
+            counterexamples=[],
             histogram=[0] * HISTOGRAM_BUCKETS if histogram else None,
         )
         if checkpoint_path is not None:
             save_checkpoint(ck, checkpoint_path)
 
     started = last_save = time.monotonic()
-    base_wall = ck.wall_seconds
     blocks = _chunked(sieve_primes(ck.last_completed, hi), DEFAULT_LANES)
     try:
         for end, cex, block_hist in _block_results(blocks, workers):
             # one rebinding per block, so an interrupt never saves half a block
-            ck = SearchCheckpoint(
-                lo,
-                hi,
-                end,
-                ck.counterexamples + cex,
-                None if ck.histogram is None else [a + b for a, b in zip(ck.histogram, block_hist)],
-                ck.wall_seconds,
+            ck = ck._replace(
+                last_completed=end,
+                counterexamples=ck.counterexamples + cex,
+                histogram=None if ck.histogram is None else [a + b for a, b in zip(ck.histogram, block_hist)],
             )
             now = time.monotonic()
             if checkpoint_path is not None and now - last_save >= CHECKPOINT_INTERVAL:
-                ck.wall_seconds = base_wall + (now - started)
-                save_checkpoint(ck, checkpoint_path)
+                save_checkpoint(ck._replace(wall_seconds=ck.wall_seconds + (now - started)), checkpoint_path)
                 last_save = now
-        ck = SearchCheckpoint(lo, hi, hi, ck.counterexamples, ck.histogram, ck.wall_seconds, finished=True)
+        ck = ck._replace(last_completed=hi, finished=True)
     finally:
-        ck.wall_seconds = base_wall + (time.monotonic() - started)
+        ck = ck._replace(wall_seconds=ck.wall_seconds + (time.monotonic() - started))
         if checkpoint_path is not None:
             save_checkpoint(ck, checkpoint_path)
     return ck

@@ -192,7 +192,10 @@ def test_cells_take_no_numeric_type_but_int(value):
 
 
 def test_half_cells_print_an_odd_half_with_one_decimal():
-    assert [report_module._half(x) for x in (1, 2, 3, -3, -4, 0)] == ["0.5", "1", "1.5", "-1.5", "-2", "0"]
+    odd = 2**53 + 1
+    assert [report_module._half(x) for x in (1, 2, 3, -3, -4, 0, odd, -odd)] == [
+        "0.5", "1", "1.5", "-1.5", "-2", "0", "4503599627370496.5", "-4503599627370496.5"
+    ]
 
 
 def test_gcd_equivalence_rows_match(report):

@@ -704,10 +704,24 @@ def test_to_json_round_trips():
 
 
 def test_checkpoints_do_not_share_a_counterexample_list():
+    # a checkpoint is never changed in place: the default counterexamples is
+    # an empty tuple, no field can be assigned, and a commit is a _replace copy
     a = SearchCheckpoint(lo=3, hi=9, last_completed=3)
-    b = SearchCheckpoint(lo=3, hi=9, last_completed=3)
-    a.counterexamples.append(5)
-    assert b.counterexamples == []
+    assert a.counterexamples == ()
+    with pytest.raises(AttributeError):
+        a.counterexamples.append(5)
+    with pytest.raises(AttributeError):
+        a.wall_seconds = 1.0
+    with pytest.raises(AttributeError):
+        a.note = "no attribute outside the fields"
+    b = a._replace(last_completed=5, counterexamples=[3])
+    assert (a.last_completed, a.counterexamples) == (3, ())
+    assert (b.last_completed, b.counterexamples) == (5, [3])
+
+
+def test_checkpoint_fields_are_the_schema_keys():
+    schema = checkpoint_schema()
+    assert set(SearchCheckpoint._fields) == set(schema["required"]) == schema["properties"].keys()
 
 
 # the real signals `verify` turns into a clean exit: the shell's exit code
