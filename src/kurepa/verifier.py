@@ -222,13 +222,13 @@ class SearchCheckpoint(
     namedtuple(
         "SearchCheckpoint",
         "lo hi last_completed counterexamples histogram wall_seconds finished version",
-        defaults=((), None, 0.0, False, CHECKPOINT_VERSION),
+        defaults=(None, 0.0, False, CHECKPOINT_VERSION),
     )
 ):
     """Resumable search state: primes in [lo, last_completed) are done.
 
-    A record, never changed in place: run_search commits a block, and stamps
-    the wall time, by rebinding to a _replace copy.
+    A record whose fields are never reassigned: run_search commits a block,
+    and stamps the wall time, by rebinding to a _replace copy.
     """
 
     __slots__ = ()

@@ -4,11 +4,10 @@ Each mutant is one exact `old -> new` edit of a file under src/kurepa, with
 the tests that must fail on it. Run it as a script (pytest does not
 collect it), with mpmath, pytest, hypothesis and jsonschema installed:
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py
 
-It first runs every chosen mutant's tests on an unmutated copy of the
-tree, as a failure counts as a kill only where they pass. Then, for each
+It first runs every mutant's tests on an unmutated copy of the tree, as a
+failure counts as a kill only where they pass. Then, for each
 mutant, it copies src, tests, bench (a report test reads
 bench/workloads.py) and pyproject.toml to a temporary directory, applies
 the edit there, runs the mutant's tests with `pytest -x` and prints one
@@ -22,7 +21,7 @@ line:
 A mutant with a reason in `equivalent` computes what the program computes,
 so its survival is reported as equivalent and passes. The exit status is 1
 if the tests fail on the unmutated copy, any other mutant survived or any
-mutant is stale; 2 for an unknown mutant name; else 0.
+mutant is stale; else 0.
 """
 
 import os
@@ -123,19 +122,13 @@ def run(mutant: Mutant) -> str:
     return f"stale (pytest exited {code})"
 
 
-def main(names: list[str]) -> int:
-    known = {m.name for m in MUTANTS}
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    code = pytest_on_copy(sorted({test for m in chosen for test in m.tests}))
+def main() -> int:
+    code = pytest_on_copy(sorted({test for m in MUTANTS for test in m.tests}))
     if code != 0:
         print(f"the mutants' tests do not pass on the unmutated tree (pytest exited {code})", file=sys.stderr)
         return 1
     failed = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         outcome = run(mutant)
         print(f"{mutant.name}: {outcome}", flush=True)
         failed += outcome.startswith(("survived", "stale"))
@@ -143,4 +136,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -701,22 +701,25 @@ def test_to_json_round_trips():
     ck = SearchCheckpoint(lo=3, hi=50, last_completed=10, counterexamples=[7])
     assert checkpoint_from_json(ck.to_json()) == ck
     assert checkpoint_from_json(ck.to_json()) != SearchCheckpoint(lo=3, hi=50, last_completed=11, counterexamples=[7])
+    fresh = SearchCheckpoint(lo=3, hi=9, last_completed=3, counterexamples=[])
+    assert checkpoint_from_json(fresh.to_json()) == fresh
 
 
 def test_checkpoints_do_not_share_a_counterexample_list():
-    # a checkpoint is never changed in place: the default counterexamples is
-    # an empty tuple, no field can be assigned, and a commit is a _replace copy
-    a = SearchCheckpoint(lo=3, hi=9, last_completed=3)
-    assert a.counterexamples == ()
-    with pytest.raises(AttributeError):
-        a.counterexamples.append(5)
+    # no field of a checkpoint is ever reassigned: a commit is a _replace
+    # copy with a new counterexample list, and the old checkpoint keeps its own
+    a = SearchCheckpoint(lo=3, hi=9, last_completed=3, counterexamples=[])
     with pytest.raises(AttributeError):
         a.wall_seconds = 1.0
     with pytest.raises(AttributeError):
+        a.counterexamples = [5]
+    with pytest.raises(AttributeError):
         a.note = "no attribute outside the fields"
-    b = a._replace(last_completed=5, counterexamples=[3])
-    assert (a.last_completed, a.counterexamples) == (3, ())
+    b = a._replace(last_completed=5, counterexamples=a.counterexamples + [3])
+    assert (a.last_completed, a.counterexamples) == (3, [])
     assert (b.last_completed, b.counterexamples) == (5, [3])
+    with pytest.raises(TypeError):
+        SearchCheckpoint(lo=3, hi=9, last_completed=3)
 
 
 def test_checkpoint_fields_are_the_schema_keys():
